@@ -15,11 +15,10 @@ profile, inject) and share everything that is not engine-specific:
   ``ckpt_restores``, ``ckpt_instructions_skipped``), mirrored into the
   active :mod:`repro.obs` recorder.
 
-Subclasses provide the engine plumbing: :meth:`_execute` (one run of the
-underlying simulator), :meth:`_counted_run` (one run with the
-multi-category counting hook, optionally recording checkpoints) and
-:meth:`run_with_fault` (one injection run).  Campaign, engine and
-experiment code type against this ABC only.
+Subclasses provide the engine plumbing: :meth:`_engine` (a fresh IR
+interpreter or SimX86 simulator with a hook installed), the per-category
+candidate id sets and :meth:`run_with_fault` (one injection run).
+Campaign, engine and experiment code type against this ABC only.
 """
 
 from __future__ import annotations
@@ -28,12 +27,14 @@ import random
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 from repro.errors import FaultInjectionError
 from repro.fi.fault import FaultModel, FaultRecord
 from repro.obs import get_recorder
+from repro.vm.asmsim import AsmHook
 from repro.vm.batch import BatchStats
+from repro.vm.irinterp import InterpHook
 from repro.vm.result import ExecutionResult
 from repro.vm.snapshot import CheckpointStore
 
@@ -67,6 +68,62 @@ class FirstAttempt:
     #: Prefix instructions it skipped (checkpoint or fork boundary).
     skipped: int
     wall_s: float
+
+
+class CandidateCounter(InterpHook, AsmHook):
+    """Dynamic candidate counts of every category from one run of either
+    engine: the shared profiling pass and the checkpoint recording run.
+
+    The engine adds one to ``segment_counts[segment]`` per dispatched
+    compiled segment that holds a candidate (running its plain variant,
+    with no hook call per candidate) and calls :meth:`on_result` /
+    :meth:`on_executed` once per candidate on the scalar loop.
+    :meth:`counts` derives the per-category totals from the counted
+    segments' static instruction sets, so a read at any checkpoint
+    capture, or after a completed run, equals what a per-instruction
+    counter would have seen there."""
+
+    def __init__(self, candidate_ids: Dict[str, Set[int]]) -> None:
+        self.candidate_ids = candidate_ids
+        #: Hook filter: every candidate of any category.
+        self.filter = frozenset().union(*candidate_ids.values())
+        self.segment_counts: Dict[object, int] = {}
+        #: Scalar-loop counts per candidate id.
+        self.instruction_counts: Dict[int, int] = {}
+        self._categories_of: Dict[int, Tuple[str, ...]] = {
+            key: tuple(c for c, ids in candidate_ids.items() if key in ids)
+            for key in self.filter}
+        #: Per counted segment: (category, candidates in it) pairs.
+        self._per_segment: Dict[object, Tuple[Tuple[str, int], ...]] = {}
+
+    def on_result(self, inst, value, interp):
+        counts = self.instruction_counts
+        key = id(inst)
+        counts[key] = counts.get(key, 0) + 1
+        return value
+
+    def on_executed(self, inst, sim) -> None:
+        counts = self.instruction_counts
+        key = id(inst)
+        counts[key] = counts.get(key, 0) + 1
+
+    def counts(self) -> Dict[str, int]:
+        totals = dict.fromkeys(self.candidate_ids, 0)
+        per_segment = self._per_segment
+        for segment, n in self.segment_counts.items():
+            split = per_segment.get(segment)
+            if split is None:
+                split = tuple(
+                    (c, len(segment.ids & ids))
+                    for c, ids in self.candidate_ids.items())
+                per_segment[segment] = split
+            for category, m in split:
+                totals[category] += n * m
+        categories_of = self._categories_of
+        for key, n in self.instruction_counts.items():
+            for category in categories_of[key]:
+                totals[category] += n
+        return totals
 
 
 class BaseInjector(ABC):
@@ -118,19 +175,41 @@ class BaseInjector(ABC):
         """The tool this injector models (alias of :attr:`name`)."""
         return self.name
 
+    #: Category -> ids of its static candidate instructions (set by the
+    #: subclass constructor).
+    _candidate_ids: Dict[str, Set[int]]
+
     # -- engine plumbing (subclass responsibility) ---------------------------
     @abstractmethod
-    def _execute(self, hook, max_instructions: int,
-                 hook_filter=None) -> ExecutionResult:
-        """One run of the underlying engine with ``hook`` installed."""
+    def _engine(self, hook, max_instructions: int, hook_filter=None,
+                **kwargs):
+        """A fresh engine over this injector's program with ``hook``
+        installed; ``kwargs`` go to the engine constructor."""
 
-    @abstractmethod
+    def _execute(self, hook, max_instructions: int, hook_filter=None,
+                 **kwargs) -> ExecutionResult:
+        """One run of the underlying engine with ``hook`` installed."""
+        engine = self._engine(hook, max_instructions, hook_filter, **kwargs)
+        result = engine.run()
+        self._absorb_compile(engine)
+        return result
+
     def _counted_run(self, max_instructions: int,
                      store: Optional[CheckpointStore] = None,
                      ) -> Tuple[ExecutionResult, Dict[str, int]]:
-        """One run with the multi-category counting hook; when ``store``
-        is given, record checkpoints (annotated with the live counts)
-        into it at its stride."""
+        """One run with the every-category candidate counter; when
+        ``store`` is given, record checkpoints (annotated with the live
+        counts) into it at its stride."""
+        counter = CandidateCounter(self._candidate_ids)
+        kwargs = {}
+        if store is not None:
+            kwargs = dict(
+                checkpoint_stride=store.stride,
+                checkpoint_sink=lambda snap: store.record(snap,
+                                                          counter.counts()))
+        result = self._execute(counter, max_instructions, counter.filter,
+                               **kwargs)
+        return result, counter.counts()
 
     @abstractmethod
     def static_candidate_count(self, category: str) -> int:
@@ -329,10 +408,13 @@ class BaseInjector(ABC):
                            ) -> Optional[CheckpointStore]:
         """Record golden-run checkpoints (memoised per requested policy).
 
-        The recording run executes the whole program once with the shared
-        multi-category counting hook, so it doubles as the golden run and
-        the profiling pass: with an explicit stride a fresh injector makes
-        one preparation run instead of two.
+        The recording run executes the whole program once with the
+        every-category :class:`CandidateCounter`, so it doubles as the
+        golden run and the profiling pass: with an explicit stride a fresh
+        injector makes one preparation run instead of two.  It runs
+        block-compiled (unless ``compile_enabled`` is off), so each
+        checkpoint lands on the first compiled-segment boundary at or past
+        its stride mark.
         """
         request = (self.checkpoint_request, self.decoded_cache_request)
         if request[0] == 0:

@@ -267,13 +267,16 @@ class CampaignConfig:
     #: Accelerator sizing only — never part of the cache key.
     decoded_cache: int = 0
     #: Escape hatch for block-compiled execution
-    #: (:mod:`repro.vm.blockcache`): True forces every engine run onto the
-    #: scalar per-instruction loop. A pure accelerator toggle like
+    #: (:mod:`repro.vm.blockcache`): True forces every engine run —
+    #: checkpoint recording included — onto the scalar per-instruction
+    #: loop. A pure accelerator toggle like
     #: ``jobs``/``checkpoint_stride``/``batch`` — compiled execution is
-    #: bit-identical by construction (a lane with a pending injection or
-    #: an armed boundary tap falls back to the scalar loop for that
-    #: block), so results are independent of this value and it is **not**
-    #: part of the results cache key.
+    #: bit-identical by construction (a lane with a pending injection
+    #: falls back to the scalar loop for that block; a compiled recording
+    #: captures only at segment boundaries, which moves where checkpoints
+    #: land but not what a resumed trial computes), so results are
+    #: independent of this value and it is **not** part of the results
+    #: cache key.
     no_compile: bool = False
     #: Collect per-trial statistics (wall time, simulated instructions,
     #: checkpoint restores) through :mod:`repro.obs`. Inert: results are

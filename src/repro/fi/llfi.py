@@ -36,7 +36,6 @@ from repro.fi.fault import FaultModel, FaultRecord, SingleBitFlip
 from repro.vm.batch import pristine_image_of, run_ir_batch
 from repro.vm.irinterp import InterpHook, IRInterpreter
 from repro.vm.result import ExecutionResult
-from repro.vm.snapshot import CheckpointStore
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,9 @@ class LLFIOptions:
 
 
 class _CountingHook(InterpHook):
-    """Profiling instrumentation: counts dynamic candidate instances."""
+    """One category's dynamic candidate count, one hook call per candidate
+    (:meth:`LLFIInjector.count_dynamic_candidates`, the per-instruction
+    reference for the shared :class:`~repro.fi.base.CandidateCounter`)."""
 
     observer = True  # mutates only its own counter: any span is safe
 
@@ -65,24 +66,6 @@ class _CountingHook(InterpHook):
         if id(inst) in self.candidate_ids:
             self.count += 1
         return value
-
-
-class _MultiCountingHook(InterpHook):
-    """Fans one run out to several counting hooks (one per category); used
-    by the shared profiling pass and by checkpoint recording."""
-
-    observer = True
-
-    def __init__(self, hooks: Dict[str, _CountingHook]) -> None:
-        self.hooks = hooks
-
-    def on_result(self, inst, value, interp):
-        for h in self.hooks.values():
-            h.on_result(inst, value, interp)
-        return value
-
-    def counts(self) -> Dict[str, int]:
-        return {c: h.count for c, h in self.hooks.items()}
 
 
 class _InjectionHook(InterpHook):
@@ -234,36 +217,12 @@ class LLFIInjector(BaseInjector):
     def _compile_subject(self):
         return self.module
 
-    def _interp(self, hook, max_instructions: int, hook_filter=None,
+    def _engine(self, hook, max_instructions: int, hook_filter=None,
                 **kwargs) -> IRInterpreter:
         kwargs.setdefault("compile_blocks", self.compile_enabled)
         return IRInterpreter(self.module, max_instructions=max_instructions,
                              max_call_depth=self.options.max_call_depth,
                              hook=hook, hook_filter=hook_filter, **kwargs)
-
-    def _execute(self, hook, max_instructions: int,
-                 hook_filter=None) -> ExecutionResult:
-        interp = self._interp(hook, max_instructions, hook_filter)
-        result = interp.run()
-        self._absorb_compile(interp)
-        return result
-
-    def _counted_run(self, max_instructions: int,
-                     store: Optional[CheckpointStore] = None,
-                     ) -> Tuple[ExecutionResult, Dict[str, int]]:
-        hooks = {c: _CountingHook(self._candidate_ids[c]) for c in CATEGORIES}
-        multi = _MultiCountingHook(hooks)
-        union = frozenset().union(*self._candidate_ids.values())
-        kwargs = {}
-        if store is not None:
-            kwargs = dict(
-                checkpoint_stride=store.stride,
-                checkpoint_sink=lambda snap: store.record(snap,
-                                                          multi.counts()))
-        interp = self._interp(multi, max_instructions, union, **kwargs)
-        result = interp.run()
-        self._absorb_compile(interp)
-        return result, multi.counts()
 
     def count_dynamic_candidates(self, category: str,
                                  max_instructions: int = 50_000_000) -> int:
@@ -292,7 +251,7 @@ class LLFIInjector(BaseInjector):
         checkpoint's candidate count)."""
         ids = frozenset(self._candidate_ids[category])
         hook = _InjectionHook(ids, k, model or SingleBitFlip(), rng)
-        interp = self._interp(hook,
+        interp = self._engine(hook,
                               max_instructions or
                               self.default_max_instructions,
                               hook_filter=ids)
@@ -311,7 +270,7 @@ class LLFIInjector(BaseInjector):
         """Never-run interpreter providing the shared global-address map
         and the pristine cold-start memory image."""
         if self._template is None:
-            interp = self._interp(None, self.default_max_instructions)
+            interp = self._engine(None, self.default_max_instructions)
             self._template = interp
             self._pristine = pristine_image_of(interp)
         return self._template

@@ -32,7 +32,6 @@ from repro.fi.fault import FaultModel, FaultRecord, SingleBitFlip
 from repro.vm.asmsim import AsmHook, AsmSimulator
 from repro.vm.batch import pristine_image_of, run_asm_batch
 from repro.vm.result import ExecutionResult
-from repro.vm.snapshot import CheckpointStore
 
 #: Opcodes whose XMM destination holds a double in the low 64 bits.
 _DOUBLE_DEST_OPS = frozenset({
@@ -78,6 +77,10 @@ def _injection_target(inst: MInst, next_inst: Optional[MInst]) -> Optional[_Targ
 
 
 class _CountingHook(AsmHook):
+    """One category's dynamic candidate count, one hook call per candidate
+    (:meth:`PINFIInjector.count_dynamic_candidates`, the per-instruction
+    reference for the shared :class:`~repro.fi.base.CandidateCounter`)."""
+
     observer = True  # mutates only its own counter: any span is safe
 
     def __init__(self, candidate_ids: Set[int]) -> None:
@@ -87,23 +90,6 @@ class _CountingHook(AsmHook):
     def on_executed(self, inst, sim):
         if id(inst) in self.candidate_ids:
             self.count += 1
-
-
-class _MultiCountingHook(AsmHook):
-    """Fans one run out to several counting hooks (one per category); used
-    by the shared profiling pass and by checkpoint recording."""
-
-    observer = True
-
-    def __init__(self, hooks: Dict[str, _CountingHook]) -> None:
-        self.hooks = hooks
-
-    def on_executed(self, inst, sim):
-        for h in self.hooks.values():
-            h.on_executed(inst, sim)
-
-    def counts(self) -> Dict[str, int]:
-        return {c: h.count for c, h in self.hooks.items()}
 
 
 class _InjectionHook(AsmHook):
@@ -289,36 +275,12 @@ class PINFIInjector(BaseInjector):
     def _compile_subject(self):
         return self.program
 
-    def _sim(self, hook, max_instructions: int, hook_filter=None,
-             **kwargs) -> AsmSimulator:
+    def _engine(self, hook, max_instructions: int, hook_filter=None,
+                **kwargs) -> AsmSimulator:
         kwargs.setdefault("compile_blocks", self.compile_enabled)
         return AsmSimulator(self.program, max_instructions=max_instructions,
                             max_call_depth=self.options.max_call_depth,
                             hook=hook, hook_filter=hook_filter, **kwargs)
-
-    def _execute(self, hook, max_instructions: int,
-                 hook_filter=None) -> ExecutionResult:
-        sim = self._sim(hook, max_instructions, hook_filter)
-        result = sim.run()
-        self._absorb_compile(sim)
-        return result
-
-    def _counted_run(self, max_instructions: int,
-                     store: Optional[CheckpointStore] = None,
-                     ) -> Tuple[ExecutionResult, Dict[str, int]]:
-        hooks = {c: _CountingHook(self._candidate_ids[c]) for c in CATEGORIES}
-        multi = _MultiCountingHook(hooks)
-        union = frozenset().union(*self._candidate_ids.values())
-        kwargs = {}
-        if store is not None:
-            kwargs = dict(
-                checkpoint_stride=store.stride,
-                checkpoint_sink=lambda snap: store.record(snap,
-                                                          multi.counts()))
-        sim = self._sim(multi, max_instructions, union, **kwargs)
-        result = sim.run()
-        self._absorb_compile(sim)
-        return result, multi.counts()
 
     def count_dynamic_candidates(self, category: str,
                                  max_instructions: int = 100_000_000) -> int:
@@ -343,9 +305,9 @@ class PINFIInjector(BaseInjector):
         ids = frozenset(self._candidate_ids[category])
         hook = _InjectionHook(ids, self._targets,
                               k, model or SingleBitFlip(), rng, self.options)
-        sim = self._sim(hook,
-                        max_instructions or self.default_max_instructions,
-                        hook_filter=ids)
+        sim = self._engine(hook,
+                           max_instructions or self.default_max_instructions,
+                           hook_filter=ids)
         skipped = self._resume_from_checkpoint(sim, hook, category, k)
         result = sim.run()
         self._absorb_compile(sim)
@@ -360,7 +322,7 @@ class PINFIInjector(BaseInjector):
         """Never-run simulator providing the shared function records /
         poison metadata and the pristine cold-start memory image."""
         if self._template is None:
-            sim = self._sim(None, self.default_max_instructions)
+            sim = self._engine(None, self.default_max_instructions)
             self._template = sim
             self._pristine = pristine_image_of(sim)
         return self._template

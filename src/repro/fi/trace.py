@@ -144,10 +144,11 @@ def trace_propagation(injector: LLFIInjector, category: str, k: int,
                            max_call_depth=injector.options.max_call_depth,
                            hook=hook)  # no hook filter: watch everything
 
-    original_store = interp._exec_store
-    original_call = interp._exec_call
+    dispatch = dict(IRInterpreter._dispatch)
+    original_store = dispatch[Store]
+    original_call = dispatch[Call]
 
-    def watched_store(inst, frame):
+    def watched_store(interp, inst, frame):
         if hook.live and (hook.value_poisoned(interp, inst.value)
                           or hook.value_poisoned(interp, inst.pointer)):
             addr = interp._value_of(inst.pointer, frame)
@@ -157,9 +158,9 @@ def trace_propagation(injector: LLFIInjector, category: str, k: int,
                 step=len(hook.events), opcode="store",
                 name=inst.pointer.name or "<ptr>",
                 source_line=inst.source_line, kind="memory-write"))
-        return original_store(inst, frame)
+        return original_store(interp, inst, frame)
 
-    def watched_call(inst, frame):
+    def watched_call(interp, inst, frame):
         if hook.live and inst.callee.is_intrinsic \
                 and inst.callee.name.startswith("print") \
                 and any(hook.value_poisoned(interp, op)
@@ -168,10 +169,11 @@ def trace_propagation(injector: LLFIInjector, category: str, k: int,
                 step=len(hook.events), opcode="call",
                 name=inst.callee.name, source_line=inst.source_line,
                 kind="output"))
-        return original_call(inst, frame)
+        return original_call(interp, inst, frame)
 
-    interp._dispatch[Store] = watched_store
-    interp._dispatch[Call] = watched_call
+    dispatch[Store] = watched_store
+    dispatch[Call] = watched_call
+    interp._dispatch = dispatch
 
     result = interp.run()
     if inner.record is None:

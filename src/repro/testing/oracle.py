@@ -11,10 +11,10 @@ the list of :class:`Divergence` it found (empty = all layers agree):
 * **pass pipeline** — the full -O1-ish pipeline vs -O0, both on the IR
   interpreter. A mismatch is localized to the first pipeline prefix
   whose behaviour differs from -O0.
-* **checkpoint-restore** — a recording run at a couple of strides, then
-  resume from the first/middle/last snapshot on both engines; every
-  resumed run must finish bit-identically to the cold run (including
-  total instruction count).
+* **checkpoint-restore** — a recording run at a couple of strides, with
+  block compilation on and off, then resume from the first/middle/last
+  snapshot on both engines; every resumed run must finish bit-identically
+  to the cold run (including total instruction count).
 * **campaign determinism** (off by default: it runs real injection
   trials) — the generated program registered as a temporary workload,
   then ``jobs=1`` vs ``jobs=2`` and ``checkpoint_stride=-1`` vs ``0``
@@ -216,30 +216,37 @@ class Oracle:
             for stride in self.config.checkpoint_strides:
                 if stride >= cold.instructions:
                     continue
-                snaps: List = []
-                recorded = make(checkpoint_stride=stride,
-                                checkpoint_sink=snaps.append).run()
-                if (_fingerprint(recorded) != _fingerprint(cold)
-                        or recorded.instructions != cold.instructions):
-                    self._report(
-                        "checkpoint",
-                        f"{name}: recording run at stride {stride} != "
-                        f"cold run: {_diff(cold, recorded, 'cold', 'rec')}")
-                    continue
-                if not snaps:
-                    continue
-                picks = {0, len(snaps) // 2, len(snaps) - 1}
-                for i in sorted(picks):
-                    engine = make()
-                    engine.restore(snaps[i])
-                    resumed = engine.run()
-                    if (_fingerprint(resumed) != _fingerprint(cold)
-                            or resumed.instructions != cold.instructions):
+                # Compiled recordings capture at segment boundaries,
+                # scalar ones at the exact stride marks: both must resume.
+                for compiled in (True, False):
+                    how = f"stride {stride}, " + (
+                        "compiled" if compiled else "scalar")
+                    snaps: List = []
+                    recorded = make(checkpoint_stride=stride,
+                                    checkpoint_sink=snaps.append,
+                                    compile_blocks=compiled).run()
+                    if (_fingerprint(recorded) != _fingerprint(cold)
+                            or recorded.instructions != cold.instructions):
                         self._report(
                             "checkpoint",
-                            f"{name}: resume at executed="
-                            f"{snaps[i].executed} (stride {stride}) != "
-                            f"cold: {_diff(cold, resumed, 'cold', 'res')}")
+                            f"{name}: recording run ({how}) != cold run: "
+                            f"{_diff(cold, recorded, 'cold', 'rec')}")
+                        continue
+                    if not snaps:
+                        continue
+                    picks = {0, len(snaps) // 2, len(snaps) - 1}
+                    for i in sorted(picks):
+                        engine = make()
+                        engine.restore(snaps[i])
+                        resumed = engine.run()
+                        if (_fingerprint(resumed) != _fingerprint(cold)
+                                or resumed.instructions
+                                != cold.instructions):
+                            self._report(
+                                "checkpoint",
+                                f"{name}: resume at executed="
+                                f"{snaps[i].executed} ({how}) != cold: "
+                                f"{_diff(cold, resumed, 'cold', 'res')}")
 
     # -- campaign determinism --------------------------------------------------
 

@@ -12,12 +12,14 @@ Return addresses are synthetic code addresses (``CODE_BASE + 16*site``)
 pushed through rsp into simulated stack memory; a corrupted return address
 or stack pointer therefore faults exactly the way it would on hardware.
 
-Opcodes dispatch through a precomputed bound-method table
-(``_OPCODE_METHODS``) instead of an if/elif chain, and the simulator can
-``capture()``/``restore()`` its complete state at any instruction boundary
-(see :mod:`repro.vm.snapshot`): a restored run retires the exact stream a
-cold run would from that boundary on, which is what lets fault-injection
-trials skip their fault-free prefix.
+Opcodes dispatch through a class-level table of plain handler functions
+(``AsmSimulator._ops``) instead of an if/elif chain; a per-instance table
+of bound methods would make every simulator a reference cycle, keeping
+its 5 MiB address space alive until the cyclic collector runs.  The
+simulator can ``capture()``/``restore()`` its complete state at any
+instruction boundary (see :mod:`repro.vm.snapshot`): a restored run
+retires the exact stream a cold run would from that boundary on, which is
+what lets fault-injection trials skip their fault-free prefix.
 """
 
 from __future__ import annotations
@@ -64,6 +66,14 @@ class AsmHook:
     #: span is safe for them regardless of its candidate count.
     observer = False
 
+    #: Segment counting: a dict instead of None makes the engine run the
+    #: *plain* compiled variant of every segment that holds a filtered
+    #: instruction and add one to ``segment_counts[segment]`` per
+    #: dispatch, in place of the per-instruction calls (which the scalar
+    #: loop still makes).  ``segment.ids`` is the segment's static
+    #: instruction set, from which the hook derives its counts.
+    segment_counts: Optional[Dict[object, int]] = None
+
     def on_executed(self, inst: MInst, sim: "AsmSimulator") -> None:
         """Called after each instruction retires; may corrupt state."""
 
@@ -94,41 +104,6 @@ class _FuncRec:
 
 
 class AsmSimulator:
-    #: opcode -> handler method name; resolved to bound methods per
-    #: instance so the hot loop is one dict lookup plus one call.
-    _OPCODE_METHODS: Dict[str, str] = {
-        "mov": "_op_mov",
-        "movsx": "_op_movx", "movzx": "_op_movx",
-        "lea": "_op_lea",
-        "imul3": "_op_imul3",
-        "add": "_op_alu", "sub": "_op_alu", "and": "_op_alu",
-        "or": "_op_alu", "xor": "_op_alu", "imul": "_op_alu",
-        "neg": "_op_neg",
-        "not": "_op_not",
-        "shl": "_op_shift", "sar": "_op_shift", "shr": "_op_shift",
-        "cdq": "_op_sign_extend_acc", "cqo": "_op_sign_extend_acc",
-        "idiv": "_op_idiv",
-        "cmp": "_op_cmp",
-        "test": "_op_test",
-        "setcc": "_op_setcc",
-        "cmovcc": "_op_cmovcc",
-        "jmp": "_op_jmp",
-        "jcc": "_op_jcc",
-        "push": "_op_push",
-        "pop": "_op_pop",
-        "call": "_op_call",
-        "ret": "_op_ret",
-        "movsd": "_op_movsd",
-        "movq": "_op_movq",
-        "addsd": "_op_sse_arith", "subsd": "_op_sse_arith",
-        "mulsd": "_op_sse_arith", "divsd": "_op_sse_arith",
-        "pxor": "_op_pxor",
-        "ucomisd": "_op_ucomisd",
-        "cvtsi2sd": "_op_cvtsi2sd",
-        "cvttsd2si": "_op_cvttsd2si",
-        "ud2": "_op_ud2",
-    }
-
     def __init__(self, program: MProgram,
                  max_instructions: int = 100_000_000,
                  max_call_depth: int = 400,
@@ -209,16 +184,13 @@ class AsmSimulator:
         self._site_tokens: Dict[Tuple[str, int, int], int] = {}
         self._token_sites: Dict[int, Tuple[str, int, int]] = {}
 
-        self._ops: Dict[str, Callable[[MInst, _Loc], Optional[_Loc]]] = {
-            op: getattr(self, meth) for op, meth in
-            self._OPCODE_METHODS.items()}
-
-        #: Threaded-code execution (see repro.vm.blockcache).  An armed
-        #: boundary tap (checkpoint recording) always takes the scalar
-        #: path, so recording runs never compile.
+        #: Threaded-code execution (see repro.vm.blockcache).  Recording
+        #: runs compile too: the boundary tap is checked once per compiled
+        #: segment, so a checkpoint lands on the first segment boundary at
+        #: or past its stride mark (and on the exact mark when scalar).
         self._recording = (checkpoint_sink is not None
                            and checkpoint_stride > 0)
-        self._compiling = compile_blocks and not self._recording
+        self._compiling = compile_blocks
         self._block_cache = cache_for(program) if self._compiling else None
         #: Runtime counters: straight-line runs executed compiled vs runs
         #: that fell back to the scalar loop while compilation was on.
@@ -323,8 +295,10 @@ class AsmSimulator:
             outcome = ExecutionResult("ok", None, self.output.text(),
                                       self.executed, exit_value)
         except Trap as trap:
-            outcome = ExecutionResult("trap", trap, self.output.text(),
-                                      self.executed)
+            # Keep no traceback: its frames would tie this simulator (and
+            # its address space) into a cycle with the stored result.
+            outcome = ExecutionResult("trap", trap.with_traceback(None),
+                                      self.output.text(), self.executed)
         except HangTimeout:
             outcome = ExecutionResult("hang", None, self.output.text(),
                                       self.executed)
@@ -361,9 +335,9 @@ class AsmSimulator:
             self.call_depth = 1
         hook = self.hook
         hook_filter = self.hook_filter
+        segment_counts = hook.segment_counts if hook is not None else None
         ops = self._ops
-        recording = (self._checkpoint_sink is not None
-                     and self._checkpoint_stride > 0)
+        recording = self._recording
         while True:
             insts = loc.func.blocks[loc.block]
             while loc.index >= len(insts):
@@ -377,10 +351,12 @@ class AsmSimulator:
             if self._compiling:
                 # Threaded-code fast path (repro.vm.blockcache): run the
                 # rest of this straight line as compiled closures when no
-                # observer could tell the difference.  An armed hook may
-                # still run compiled through the hooked variant (inline
-                # hook calls) when it declares the span safe — otherwise
-                # fall back to the scalar loop until the next transfer.
+                # observer could tell the difference.  A segment-counting
+                # hook gets the plain variant plus one count per dispatch;
+                # any other armed hook may still run compiled through the
+                # hooked variant (inline hook calls) when it declares the
+                # span safe — otherwise fall back to the scalar loop until
+                # the next transfer.
                 if not self.poison or self.fault_activated:
                     cache = self._block_cache
                     key = (id(insts), loc.index)
@@ -391,6 +367,9 @@ class AsmSimulator:
                         cache.asm[key] = (cb if cb is not None
                                           else UNCOMPILABLE)
                     if cb is not None and cb is not UNCOMPILABLE:
+                        if recording and \
+                                self.executed >= self._next_checkpoint:
+                            self._take_checkpoint(loc)
                         if hook is None or hook.finished:
                             pass  # plain variant is exact
                         elif hook_filter is not None:
@@ -398,26 +377,13 @@ class AsmSimulator:
                             if ok is None:
                                 ok = hook_filter.isdisjoint(cb.ids)
                                 self._hookfree[key] = ok
-                            if not ok:
-                                hcb = self._hooked.get(key)
-                                if hcb is None:
-                                    gkey = (key[0], key[1],
-                                            self._filter_key)
-                                    hcb = cache.asm.get(gkey)
-                                    if hcb is None:
-                                        hcb = compile_asm_segment(
-                                            cache, insts, loc.index,
-                                            self, loc.func, hook_filter)
-                                        if hcb is None:
-                                            hcb = UNCOMPILABLE
-                                        cache.asm[gkey] = hcb
-                                    self._hooked[key] = hcb
-                                if (hcb is not UNCOMPILABLE
-                                        and hook.compiled_span_ok(
-                                            hcb.ncand)):
-                                    cb = hcb
-                                else:
-                                    cb = None
+                            if ok:
+                                pass
+                            elif segment_counts is not None:
+                                segment_counts[cb] = \
+                                    segment_counts.get(cb, 0) + 1
+                            else:
+                                cb = self._hooked_variant(key, insts, loc)
                         else:
                             cb = None
                         if cb is not None:
@@ -446,7 +412,7 @@ class AsmSimulator:
                 handler = ops.get(inst.opcode)
                 if handler is None:
                     raise ReproError(f"cannot simulate {inst.opcode}")
-                next_loc = handler(inst, loc)
+                next_loc = handler(self, inst, loc)
                 if hook is not None and (hook_filter is None
                                          or id(inst) in hook_filter):
                     hook.on_executed(inst, self)
@@ -460,6 +426,25 @@ class AsmSimulator:
                 loc = next_loc
                 if loc.index >= len(insts):
                     break  # fell off the block: outer loop normalizes
+
+    def _hooked_variant(self, key, insts, loc: _Loc):
+        """The hooked variant of the segment at ``key`` when the armed hook
+        declares its span safe, else None (run it scalar)."""
+        hcb = self._hooked.get(key)
+        if hcb is None:
+            cache = self._block_cache
+            gkey = (key[0], key[1], self._filter_key)
+            hcb = cache.asm.get(gkey)
+            if hcb is None:
+                hcb = compile_asm_segment(cache, insts, loc.index, self,
+                                          loc.func, self.hook_filter)
+                if hcb is None:
+                    hcb = UNCOMPILABLE
+                cache.asm[gkey] = hcb
+            self._hooked[key] = hcb
+        if hcb is not UNCOMPILABLE and self.hook.compiled_span_ok(hcb.ncand):
+            return hcb
+        return None
 
     # -- poison / activation -----------------------------------------------------
     def _check_poison(self, inst: MInst) -> None:
@@ -574,14 +559,6 @@ class AsmSimulator:
             self.flags["CF"] = 1 if a < b else 0
 
     # -- opcode handlers ----------------------------------------------------------
-    def _step(self, inst: MInst, loc: _Loc) -> Optional[_Loc]:
-        """Single-instruction dispatch (kept for tests/tools; the main loop
-        uses the bound-method table directly)."""
-        handler = self._ops.get(inst.opcode)
-        if handler is None:
-            raise ReproError(f"cannot simulate {inst.opcode}")
-        return handler(inst, loc)
-
     def _op_mov(self, inst: MInst, loc: _Loc) -> Optional[_Loc]:
         dst, src = inst.operands
         w = inst.width
@@ -861,6 +838,41 @@ class AsmSimulator:
             self.heap.free(self.get_gpr("rdi"))
         else:
             raise ReproError(f"unknown intrinsic {name}")
+
+    #: opcode -> handler, called as ``handler(sim, inst, loc)``.
+    _ops: Dict[str, Callable[["AsmSimulator", MInst, _Loc],
+                             Optional[_Loc]]] = {
+        "mov": _op_mov,
+        "movsx": _op_movx, "movzx": _op_movx,
+        "lea": _op_lea,
+        "imul3": _op_imul3,
+        "add": _op_alu, "sub": _op_alu, "and": _op_alu,
+        "or": _op_alu, "xor": _op_alu, "imul": _op_alu,
+        "neg": _op_neg,
+        "not": _op_not,
+        "shl": _op_shift, "sar": _op_shift, "shr": _op_shift,
+        "cdq": _op_sign_extend_acc, "cqo": _op_sign_extend_acc,
+        "idiv": _op_idiv,
+        "cmp": _op_cmp,
+        "test": _op_test,
+        "setcc": _op_setcc,
+        "cmovcc": _op_cmovcc,
+        "jmp": _op_jmp,
+        "jcc": _op_jcc,
+        "push": _op_push,
+        "pop": _op_pop,
+        "call": _op_call,
+        "ret": _op_ret,
+        "movsd": _op_movsd,
+        "movq": _op_movq,
+        "addsd": _op_sse_arith, "subsd": _op_sse_arith,
+        "mulsd": _op_sse_arith, "divsd": _op_sse_arith,
+        "pxor": _op_pxor,
+        "ucomisd": _op_ucomisd,
+        "cvtsi2sd": _op_cvtsi2sd,
+        "cvttsd2si": _op_cvttsd2si,
+        "ud2": _op_ud2,
+    }
 
 
 # -- helpers ---------------------------------------------------------------------

@@ -159,18 +159,19 @@ class _AsmSweep(AsmSimulator):
     Runs with ``checkpoint_stride=1`` and ``_next_checkpoint=0`` so the
     recording branch of the main loop fires at *every* instruction
     boundary, with ``_take_checkpoint`` overridden to make the
-    fork/detach decision instead of recording a snapshot."""
+    fork/detach decision instead of recording a snapshot.  The sweep
+    never compiles: a compiled recording run only checks its tap at
+    segment boundaries, and a lane may fork at any instruction."""
 
     def __init__(self, program, requests, *, candidate_ids, budget,
-                 max_call_depth, template, memory, base_count,
-                 compile_blocks=True) -> None:
+                 max_call_depth, template, memory, base_count) -> None:
         hook = _AsmCountingHook()
         super().__init__(program, max_instructions=budget,
                          max_call_depth=max_call_depth,
                          hook=hook, hook_filter=candidate_ids,
                          checkpoint_stride=1, checkpoint_sink=_no_sink,
                          template=template, memory=memory,
-                         compile_blocks=compile_blocks)
+                         compile_blocks=False)
         hook.count = base_count
         # Fire the boundary check from the very first boundary (executed
         # may be 0 on a cold start); never advanced, so it fires at all.
@@ -208,15 +209,14 @@ class _IRSweep(IRInterpreter):
     boundaries, so a lane whose k lands on one detaches."""
 
     def __init__(self, module, requests, *, candidate_ids, budget,
-                 max_call_depth, template, memory, base_count,
-                 compile_blocks=True) -> None:
+                 max_call_depth, template, memory, base_count) -> None:
         hook = _IRCountingHook()
         super().__init__(module, max_instructions=budget,
                          max_call_depth=max_call_depth,
                          hook=hook, hook_filter=candidate_ids,
                          checkpoint_stride=1, checkpoint_sink=_no_sink,
                          template=template, memory=memory,
-                         compile_blocks=compile_blocks)
+                         compile_blocks=False)
         hook.count = base_count
         self._next_checkpoint = 0
         self._waiting = sorted(requests, key=lambda r: r.k)
@@ -306,7 +306,7 @@ def run_asm_batch(program, requests: Sequence[object], *,
     sweep = _AsmSweep(program, requests, candidate_ids=candidate_ids,
                       budget=budget, max_call_depth=max_call_depth,
                       template=template, memory=memory,
-                      base_count=base_count, compile_blocks=compile_blocks)
+                      base_count=base_count)
     start_executed = 0
     if checkpoint is not None:
         sweep.restore(checkpoint.snapshot, skip_memory=True)
@@ -351,7 +351,7 @@ def run_ir_batch(module, requests: Sequence[object], *,
     sweep = _IRSweep(module, requests, candidate_ids=candidate_ids,
                      budget=budget, max_call_depth=max_call_depth,
                      template=template, memory=memory,
-                     base_count=base_count, compile_blocks=compile_blocks)
+                     base_count=base_count)
     start_executed = 0
     if checkpoint is not None:
         sweep.restore(checkpoint.snapshot, skip_memory=True)

@@ -33,11 +33,20 @@ Semantics are bit-identical to the scalar loop by construction:
   scalar behaviour (including the scalar error).
 
 Engines only run a compiled block when no observer could tell the
-difference: a lane with an armed boundary tap (checkpoint recording) or
-a pending poison check falls back to the per-instruction loop for that
-block (see the gate logic in each engine).
+difference: a lane with a pending poison check falls back to the
+per-instruction loop for that block (see the gate logic in each engine).
+Checkpoint recording compiles: the engine checks its boundary tap before
+each dispatched segment, so a checkpoint lands on the first segment
+boundary at or past its stride mark (the scalar loop still checks every
+instruction).  While recording, the IR engine runs blocks holding a
+``Call`` (``CompiledIRBlock.calls``) on the scalar loop, which keeps each
+suspended frame's resume position exact; asm segments never nest.
 
-Armed hooks get a middle path.  A block whose instructions intersect the
+Candidate counting needs no hooked variant at all: a hook with
+``segment_counts`` gets the plain variant and one count per dispatch,
+and derives its per-category totals from the counted segments' ``ids``.
+
+Other armed hooks get a middle path.  A block whose instructions intersect the
 engine's ``hook_filter`` compiles a second, *hooked* variant (cached per
 filter value) whose candidate steps invoke the hook inline, exactly
 where the scalar loop would.  The engine runs it only when the hook
@@ -190,16 +199,18 @@ class CompiledIRBlock:
     instruction, used for hook-filter disjointness checks.  ``ncand`` is
     the number of inline hook invocations a hooked variant makes per
     dispatch (0 for plain variants; ``NCAND_UNSAFE`` when a nested call
-    makes the span unpredictable)."""
+    makes the span unpredictable).  ``calls`` is True when the segment
+    holds a ``Call``: execution then nests inside it."""
 
-    __slots__ = ("steps", "term", "count", "ids", "ncand")
+    __slots__ = ("steps", "term", "count", "ids", "ncand", "calls")
 
-    def __init__(self, steps, term, count, ids, ncand=0):
+    def __init__(self, steps, term, count, ids, ncand=0, calls=False):
         self.steps = steps
         self.term = term
         self.count = count
         self.ids = ids
         self.ncand = ncand
+        self.calls = calls
 
 
 #: Marker for Ret terminators: ``term`` returns ``(_RET, value)`` so the
@@ -758,7 +769,8 @@ def _build_ir_segment(insts, start, global_addr, hook_ids=None):
             ids.add(id(inst))
             return (CompiledIRBlock(tuple(steps), term, count + 1,
                                     frozenset(ids),
-                                    NCAND_UNSAFE if unsafe else ncand),
+                                    NCAND_UNSAFE if unsafe else ncand,
+                                    seen_call),
                     fused)
         if (cls is ICmp or cls is FCmp) and i + 1 < n:
             nxt = insts[i + 1]
@@ -773,7 +785,8 @@ def _build_ir_segment(insts, start, global_addr, hook_ids=None):
                     ids.add(id(nxt))
                     return (CompiledIRBlock(
                         tuple(steps), term, count + 2, frozenset(ids),
-                        NCAND_UNSAFE if unsafe else ncand), fused + 1)
+                        NCAND_UNSAFE if unsafe else ncand, seen_call),
+                        fused + 1)
         if cls is Load and i + 1 < n:
             nxt = insts[i + 1]
             if (type(nxt) is BinaryOp
@@ -1333,18 +1346,18 @@ def _asm_step(inst, sim, global_addr):
     if op in ("neg", "not", "shl", "sar", "shr", "cdq", "cqo", "idiv",
               "ud2"):
         # Rare/stateful opcodes: delegate to the scalar handler through a
-        # throwaway location.  The handler is looked up on the *running*
-        # instance (compiled blocks are shared across engine instances,
-        # so a bound method of the compiling one must not be baked in).
-        if op not in sim._ops:
+        # throwaway location.  The table holds plain functions, so baking
+        # one into a block shared across engine instances is safe.
+        handler = sim._ops.get(op)
+        if handler is None:
             return None
 
-        def step(s, inst=inst, op=op):
+        def step(s, inst=inst):
             e = s.executed + 1
             s.executed = e
             if e > s.max_instructions:
                 raise HangTimeout(e)
-            s._ops[op](inst, s._scratch_loc)
+            handler(s, inst, s._scratch_loc)
         return step
 
     return None

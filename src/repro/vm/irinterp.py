@@ -17,8 +17,12 @@ instruction with a result executes, the hook may replace the result value
 (LLFI's injection hook lives in :mod:`repro.fi.llfi`). Activation tracking
 is a single identity comparison on the operand-read path.
 
-Cast and binary-op semantics dispatch through precomputed per-opcode
-tables (module-level function dicts) instead of if/elif chains.
+Instruction, cast and binary-op semantics dispatch through precomputed
+tables of plain functions (``IRInterpreter._dispatch`` and module-level
+dicts) instead of if/elif chains.  The tables are class- or module-level
+on purpose: a per-instance table of bound methods would make every
+interpreter a reference cycle, keeping its 5 MiB address space alive
+until the cyclic collector runs.
 
 The interpreter supports ``capture()``/``restore()`` of its complete state
 (see :mod:`repro.vm.snapshot`).  Because the simulated call stack is the
@@ -74,6 +78,16 @@ class InterpHook:
     #: span is safe for them regardless of its candidate count.
     observer = False
 
+    #: Segment counting: a dict instead of None makes the engine run the
+    #: *plain* compiled variant of every segment that holds a filtered
+    #: instruction and add one to ``segment_counts[segment]`` per
+    #: dispatch, in place of the per-instruction calls (which the scalar
+    #: loop and phi batches still make).  ``segment.ids`` is the
+    #: segment's static instruction set, from which the hook derives its
+    #: counts.  Only hooks that observe, never replace, a result may set
+    #: it.
+    segment_counts: Optional[Dict[object, int]] = None
+
     def on_result(self, inst: Instruction, value, interp: "IRInterpreter"):
         """Called after each value-producing instruction; the return value
         replaces the instruction's result."""
@@ -96,8 +110,10 @@ class Frame:
     #: poisoned instruction; reading it marks the fault activated.
     poison_inst: Optional[Instruction] = None
     #: Position of the instruction this frame is currently executing, kept
-    #: up to date only while checkpoint recording is on.  For a suspended
-    #: frame this is its pending ``call`` instruction.
+    #: up to date only while checkpoint recording is on (at every scalar
+    #: instruction and compiled-segment start; recording runs every
+    #: segment holding a call on the scalar loop).  For a suspended frame
+    #: this is its pending ``call`` instruction.
     resume_block: Optional[BasicBlock] = None
     resume_index: int = 0
 
@@ -158,10 +174,13 @@ class IRInterpreter:
             self._stack_sp = STACK_TOP
         else:
             self.memory, self.heap, self._stack_sp = self._load_globals()
-        #: Threaded-code execution (see repro.vm.blockcache).  An armed
-        #: boundary tap (checkpoint recording) always takes the scalar
-        #: path, so recording runs never compile.
-        self._compiling = compile_blocks and not self._recording
+        #: Threaded-code execution (see repro.vm.blockcache).  Recording
+        #: runs compile too: the boundary tap is checked once per compiled
+        #: segment, so a checkpoint lands on the first segment boundary at
+        #: or past its stride mark; segments holding a call run scalar
+        #: while recording, so every suspended frame's resume position is
+        #: exact at capture.
+        self._compiling = compile_blocks
         self._block_cache = cache_for(module) if self._compiling else None
         #: Runtime counters: blocks executed compiled vs blocks that fell
         #: back to the scalar loop while compilation was on.
@@ -175,18 +194,6 @@ class IRInterpreter:
         self._hooked: Dict[tuple, object] = {}
         self._filter_key = (frozenset(hook_filter)
                             if hook_filter is not None else None)
-        self._dispatch: Dict[type, Callable] = {
-            BinaryOp: self._exec_binop,
-            ICmp: self._exec_icmp,
-            FCmp: self._exec_fcmp,
-            Load: self._exec_load,
-            Store: self._exec_store,
-            GetElementPtr: self._exec_gep,
-            Cast: self._exec_cast,
-            Select: self._exec_select,
-            Alloca: self._exec_alloca,
-            Call: self._exec_call,
-        }
 
     # -- program image -----------------------------------------------------
     def _load_globals(self):
@@ -262,8 +269,10 @@ class IRInterpreter:
             outcome = ExecutionResult("ok", None, self.output.text(),
                                       self.executed, result)
         except Trap as trap:
-            outcome = ExecutionResult("trap", trap, self.output.text(),
-                                      self.executed)
+            # Keep no traceback: its frames would tie this interpreter (and
+            # its address space) into a cycle with the stored result.
+            outcome = ExecutionResult("trap", trap.with_traceback(None),
+                                      self.output.text(), self.executed)
         except HangTimeout:
             outcome = ExecutionResult("hang", None, self.output.text(),
                                       self.executed)
@@ -387,6 +396,7 @@ class IRInterpreter:
         prev_block: Optional[BasicBlock] = None
         hook = self.hook
         hook_filter = self.hook_filter
+        segment_counts = hook.segment_counts if hook is not None else None
         values = frame.values
         recording = self._recording
         while True:
@@ -415,10 +425,12 @@ class IRInterpreter:
             if self._compiling:
                 # Threaded-code fast path (repro.vm.blockcache): run the
                 # rest of the block as compiled closures when no observer
-                # could tell the difference.  An armed hook may still run
-                # compiled through the hooked variant (inline hook calls)
-                # when it declares the span safe — otherwise fall back to
-                # the scalar loop below for this block.
+                # could tell the difference.  A segment-counting hook gets
+                # the plain variant plus one count per dispatch; any other
+                # armed hook may still run compiled through the hooked
+                # variant (inline hook calls) when it declares the span
+                # safe — otherwise fall back to the scalar loop below for
+                # this block.
                 if frame.poison_inst is None or self.fault_activated:
                     cache = self._block_cache
                     key = (id(insts), index)
@@ -428,7 +440,13 @@ class IRInterpreter:
                                                 self._global_addr)
                         cache.ir[key] = (cb if cb is not None
                                          else UNCOMPILABLE)
-                    if cb is not None and cb is not UNCOMPILABLE:
+                    if cb is not None and cb is not UNCOMPILABLE \
+                            and not (recording and cb.calls):
+                        if recording:
+                            frame.resume_block = block
+                            frame.resume_index = index
+                            if self.executed >= self._next_checkpoint:
+                                self._take_checkpoint()
                         if hook is None or hook.finished:
                             pass  # plain variant is exact
                         elif hook_filter is not None:
@@ -436,27 +454,13 @@ class IRInterpreter:
                             if ok is None:
                                 ok = hook_filter.isdisjoint(cb.ids)
                                 self._hookfree[key] = ok
-                            if not ok:
-                                hcb = self._hooked.get(key)
-                                if hcb is None:
-                                    gkey = (key[0], key[1],
-                                            self._filter_key)
-                                    hcb = cache.ir.get(gkey)
-                                    if hcb is None:
-                                        hcb = compile_ir_segment(
-                                            cache, insts, index,
-                                            self._global_addr,
-                                            hook_filter)
-                                        if hcb is None:
-                                            hcb = UNCOMPILABLE
-                                        cache.ir[gkey] = hcb
-                                    self._hooked[key] = hcb
-                                if (hcb is not UNCOMPILABLE
-                                        and hook.compiled_span_ok(
-                                            hcb.ncand)):
-                                    cb = hcb
-                                else:
-                                    cb = None
+                            if ok:
+                                pass
+                            elif segment_counts is not None:
+                                segment_counts[cb] = \
+                                    segment_counts.get(cb, 0) + 1
+                            else:
+                                cb = self._hooked_variant(key, insts, index)
                         else:
                             cb = None
                         if cb is not None:
@@ -501,7 +505,7 @@ class IRInterpreter:
                 handler = self._dispatch.get(cls)
                 if handler is None:
                     raise ReproError(f"cannot interpret {inst.opcode}")
-                result = handler(inst, frame)
+                result = handler(self, inst, frame)
                 if inst.has_result():
                     if hook is not None and (hook_filter is None
                                              or id(inst) in hook_filter):
@@ -511,6 +515,25 @@ class IRInterpreter:
             else:
                 raise ReproError(
                     f"block {block.name} fell through without terminator")
+
+    def _hooked_variant(self, key, insts, index: int):
+        """The hooked variant of the segment at ``key`` when the armed hook
+        declares its span safe, else None (run it scalar)."""
+        hcb = self._hooked.get(key)
+        if hcb is None:
+            cache = self._block_cache
+            gkey = (key[0], key[1], self._filter_key)
+            hcb = cache.ir.get(gkey)
+            if hcb is None:
+                hcb = compile_ir_segment(cache, insts, index,
+                                         self._global_addr, self.hook_filter)
+                if hcb is None:
+                    hcb = UNCOMPILABLE
+                cache.ir[gkey] = hcb
+            self._hooked[key] = hcb
+        if hcb is not UNCOMPILABLE and self.hook.compiled_span_ok(hcb.ncand):
+            return hcb
+        return None
 
     # -- operand evaluation -------------------------------------------------------
     def _value_of(self, operand: Value, frame: Frame):
@@ -656,6 +679,21 @@ class IRInterpreter:
     def _exec_call(self, inst: Call, frame: Frame):
         args = [self._value_of(a, frame) for a in inst.args]
         return self._call_function(inst.callee, args)
+
+    #: instruction class -> handler, called as ``handler(interp, inst,
+    #: frame)``; terminators and phis are handled inline by the loop.
+    _dispatch: Dict[type, Callable] = {
+        BinaryOp: _exec_binop,
+        ICmp: _exec_icmp,
+        FCmp: _exec_fcmp,
+        Load: _exec_load,
+        Store: _exec_store,
+        GetElementPtr: _exec_gep,
+        Cast: _exec_cast,
+        Select: _exec_select,
+        Alloca: _exec_alloca,
+        Call: _exec_call,
+    }
 
 
 # -- arithmetic helpers ---------------------------------------------------------

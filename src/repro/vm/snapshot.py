@@ -59,19 +59,53 @@ class RegionImage:
     payload: bytes
 
 
+#: Shared all-zero blocks the span search compares region slices against,
+#: coarse first: whole 64 KiB chunks are skipped at memcmp speed, then
+#: 1 KiB sub-chunks, so only the bytes of one sub-chunk at each end of the
+#: span are ever stripped one by one.
+_ZERO_BLOCKS = (bytes(1 << 16), bytes(1 << 10))
+_TRIM = len(_ZERO_BLOCKS[-1])
+
+
+def nonzero_span(data: bytearray) -> Tuple[int, int]:
+    """``(start, end)`` of the non-zero bytes of ``data``: the first
+    non-zero byte and one past the last, or ``(0, 0)`` when all zero.
+
+    Equal to the ``lstrip``/``rstrip`` of a full copy, without the copy:
+    ``startswith``/``endswith`` against a shared zero block compare a slice
+    in place."""
+    start = 0
+    for zeros in _ZERO_BLOCKS:
+        step = len(zeros)
+        while data.startswith(zeros, start):
+            start += step
+    head = data[start:start + _TRIM]
+    start += len(head) - len(head.lstrip(b"\x00"))
+    if start >= len(data):
+        return 0, 0
+    # A non-zero byte lies at ``start``, so the backward skip stops short
+    # of it.
+    end = len(data)
+    for zeros in _ZERO_BLOCKS:
+        step = len(zeros)
+        while data.endswith(zeros, start, end):
+            end -= step
+    tail = data[max(start, end - _TRIM):end]
+    end -= len(tail) - len(tail.rstrip(b"\x00"))
+    return start, end
+
+
 def capture_memory(memory) -> Tuple[RegionImage, ...]:
-    """Freeze every mapped region of a :class:`repro.vm.memory.Memory`."""
+    """Freeze every mapped region of a :class:`repro.vm.memory.Memory`.
+
+    Each region is trimmed to its non-zero span (:func:`nonzero_span`)
+    and only that span is copied: a capture of the mostly empty 4 MiB
+    heap and 1 MiB stack costs well under a millisecond."""
     images = []
     for region in memory.regions():
-        data = bytes(region.data)
-        end = len(data.rstrip(b"\x00"))
-        if end == 0:
-            images.append(RegionImage(region.name, region.base, region.size,
-                                      0, b""))
-            continue
-        start = len(data) - len(data.lstrip(b"\x00"))
+        start, end = nonzero_span(region.data)
         images.append(RegionImage(region.name, region.base, region.size,
-                                  start, data[start:end]))
+                                  start, bytes(region.data[start:end])))
     return tuple(images)
 
 

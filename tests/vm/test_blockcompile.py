@@ -4,16 +4,18 @@ The contract (ISSUE 8): campaigns run with compilation enabled (the
 default) must be *bit-identical* to ``no_compile=True`` campaigns — the
 full ``CampaignResult.to_json(include_records=True)`` form — for both
 tools, across every category, with checkpoints on or off, batched or
-scalar, at any job count.  A lane with a pending injection or an armed
-boundary tap falls back to the per-instruction loop for that block, so
-identity holds by construction; these tests re-verify it empirically and
-pin the fallback rules themselves (recording runs never compile; a block
-containing an armed hook's candidate runs scalar even when its
-compare+branch pair was fused).
+scalar, at any job count.  A lane with a pending injection falls back to
+the per-instruction loop for that block, so identity holds by
+construction; these tests re-verify it empirically and pin the fallback
+rules themselves (a block containing an armed hook's candidate runs
+scalar even when its compare+branch pair was fused).  Checkpoint
+recording compiles: every checkpoint of a compiled recording must equal
+the scalar recording's capture at the same boundary, counts included.
 """
 
 import glob
 import os
+import random
 
 import pytest
 
@@ -22,13 +24,13 @@ from repro.fi import (
     CampaignConfig, InjectorSpec, LLFIInjector, PINFIInjector, run_campaign,
     run_parallel_campaign, shutdown_pool,
 )
+from repro.fi.base import BatchRequest
 from repro.fi.categories import CATEGORIES
 from repro.minic import compile_source
 from repro.obs.manifest import read_manifest
 from repro.vm.asmsim import AsmSimulator
 from repro.vm.blockcache import cache_for, peek_cache
 from repro.vm.irinterp import IRInterpreter
-from repro.vm.snapshot import CheckpointStore
 
 # Same shape as tests/fi/test_batch_campaign.py's workload: calls,
 # branches, doubles and loads, so every category has candidates and the
@@ -51,6 +53,25 @@ int main() {
 }
 """
 
+#: Recursion the inliner keeps: checkpoints land inside nested frames,
+#: whose suspended callers must resume at their pending call.
+RECURSIVE_SRC = """
+double scale[8];
+int fib(int n) {
+    if (n < 2) return n;
+    return fib(n - 1) + fib(n - 2);
+}
+int main() {
+    int i;
+    long s = 0;
+    for (i = 0; i < 8; i++) scale[i] = (double)i * 0.5;
+    for (i = 0; i < 12; i++) s = s + (long)fib(i % 9) * (i + 1);
+    print_long(s); print_char(10);
+    print_double(scale[3] * (double)s);
+    return 0;
+}
+"""
+
 TRIALS = 8
 SEED = 80914
 
@@ -58,6 +79,13 @@ SEED = 80914
 @pytest.fixture(scope="module")
 def built():
     module = compile_source(SRC)
+    program = compile_module(module)
+    return module, program
+
+
+@pytest.fixture(scope="module")
+def recursive():
+    module = compile_source(RECURSIVE_SRC)
     program = compile_module(module)
     return module, program
 
@@ -117,32 +145,96 @@ class TestEngineBitIdentity:
         assert cache.blocks_compiled == before
 
 
-class TestFallbackRules:
-    def test_recording_run_never_compiles(self, built):
-        """An armed boundary tap (checkpoint recording) forces the scalar
-        loop for the whole run — snapshots must land on exact boundary
-        state."""
+class TestCompiledRecording:
+    """Strided checkpoint recording takes the compiled path: the boundary
+    tap is checked once per dispatched segment, so each checkpoint lands
+    on the first segment boundary at or past its stride mark — and must
+    hold exactly the state and candidate counts a scalar recording
+    captures at that boundary."""
+
+    def test_strided_recording_dispatches_compiled_blocks(self, built):
         module, program = built
-        store = CheckpointStore(50)
+        snaps = []
         interp = IRInterpreter(module, checkpoint_stride=50,
-                               checkpoint_sink=lambda s: store.record(s, {}))
-        interp.run()
-        assert interp.compiled_blocks == 0 and interp.fallback_blocks == 0
-        sink = []
+                               checkpoint_sink=snaps.append)
+        assert interp.run() == IRInterpreter(module).run()
+        assert interp.compiled_blocks > 0 and len(snaps) > 1
+        snaps = []
         sim = AsmSimulator(program, checkpoint_stride=50,
-                           checkpoint_sink=sink.append)
-        sim.run()
-        assert sim.compiled_blocks == 0 and sim.fallback_blocks == 0
+                           checkpoint_sink=snaps.append)
+        assert sim.run() == AsmSimulator(program).run()
+        assert sim.compiled_blocks > 0 and len(snaps) > 1
+
+    def test_no_compile_recording_stays_scalar(self, built):
+        module, program = built
+        for engine in (
+                IRInterpreter(module, checkpoint_stride=50,
+                              checkpoint_sink=lambda s: None,
+                              compile_blocks=False),
+                AsmSimulator(program, checkpoint_stride=50,
+                             checkpoint_sink=lambda s: None,
+                             compile_blocks=False)):
+            engine.run()
+            assert engine.compiled_blocks == 0
 
     @pytest.mark.parametrize("tool", ["LLFI", "PINFI"])
+    @pytest.mark.parametrize("source", ["built", "recursive"])
+    def test_every_checkpoint_equals_scalar_capture(self, tool, source,
+                                                     request):
+        """Each checkpoint of a compiled recording equals, field by field
+        and in its per-category counts, the first checkpoint of a scalar
+        recording whose stride is that checkpoint's ``executed``."""
+        program = request.getfixturevalue(source)
+        inj = _fresh(tool, program)
+        inj.configure_checkpoints(40)
+        store = inj.ensure_checkpoints()
+        assert inj.compiled_blocks > 0
+        assert len(store) > 5
+        if source == "recursive":
+            assert any(c.snapshot.call_depth > 2 for c in store.checkpoints)
+        for checkpoint in store.checkpoints:
+            executed = checkpoint.snapshot.executed
+            twin = _fresh(tool, program)
+            twin.compile_enabled = False
+            twin.configure_checkpoints(executed)
+            reference = twin.ensure_checkpoints().checkpoints[0]
+            assert reference.snapshot.executed == executed
+            for name in ("executed", "call_depth", "memory", "heap",
+                         "output", "state"):
+                assert getattr(checkpoint.snapshot, name) == \
+                    getattr(reference.snapshot, name), \
+                    f"{name} differs at executed={executed}"
+            assert checkpoint.counts == reference.counts, \
+                f"counts differ at executed={executed}"
+
+    @pytest.mark.parametrize("tool", ["LLFI", "PINFI"])
+    def test_batch_lanes_fork_and_detach_as_scalar(self, tool, built):
+        """Batch sweeps keep their every-boundary tap (they never compile),
+        so lane and detach counts do not depend on compilation."""
+        stats = []
+        for compile_enabled in (True, False):
+            inj = _fresh(tool, built)
+            inj.compile_enabled = compile_enabled
+            inj.configure_checkpoints(40)
+            n = inj.dynamic_counts()["all"]
+            requests = [BatchRequest(index=k, k=k, rng=random.Random(k))
+                        for k in range(1, n + 1)]
+            _, batch = inj.run_batch("all", requests)
+            stats.append((batch.forked, batch.detached,
+                          batch.shared_instructions))
+        assert stats[0] == stats[1]
+
+
+class TestFallbackRules:
+    @pytest.mark.parametrize("tool", ["LLFI", "PINFI"])
     def test_counting_hooks_run_compiled(self, tool, built):
-        """Profiling runs carry pure-observer counting hooks: the hooked
-        block variants keep them on the compiled path (no blanket
-        fallback), and the dynamic counts match the scalar loop's."""
+        """Profiling runs count per compiled segment: the plain block
+        variants keep them on the compiled path (no blanket fallback),
+        and the dynamic counts match the scalar loop's."""
         inj = _fresh(tool, built)
         counts = inj.dynamic_counts()
         assert inj.compiled_blocks > 0, \
-            "observer hooks should not force scalar fallback"
+            "counting should not force scalar fallback"
         twin = _fresh(tool, built)
         twin.compile_enabled = False
         assert twin.dynamic_counts() == counts

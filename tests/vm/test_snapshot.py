@@ -6,6 +6,7 @@ and exit value — on both the IR interpreter and the SimX86 simulator.
 """
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import ReproError
 from repro.vm.asmsim import AsmSimulator
@@ -13,7 +14,8 @@ from repro.vm.irinterp import IRInterpreter
 from repro.vm.memory import Memory
 from repro.vm.snapshot import (
     DECODED_CACHE_SNAPSHOTS, Checkpoint, CheckpointStore, MachineSnapshot,
-    capture_memory, expand_image, restore_memory, restore_memory_decoded,
+    RegionImage, capture_memory, expand_image, nonzero_span, restore_memory,
+    restore_memory_decoded,
 )
 from tests.conftest import compile_both
 
@@ -132,6 +134,55 @@ class TestMemoryImages:
         other.map_region("other", 0x1000, 0x100)
         with pytest.raises(ReproError):
             restore_memory_decoded(other, images, decoded)
+
+
+def _reference_image(region) -> RegionImage:
+    """The byte-by-byte trim of a full copy: the definition the chunked
+    span search must reproduce."""
+    data = bytes(region.data)
+    end = len(data.rstrip(b"\x00"))
+    if end == 0:
+        return RegionImage(region.name, region.base, region.size, 0, b"")
+    start = len(data) - len(data.lstrip(b"\x00"))
+    return RegionImage(region.name, region.base, region.size, start,
+                       data[start:end])
+
+
+#: Region sizes around the span search's 64 KiB and 1 KiB chunk edges.
+_EDGE_SIZES = [1, 2, 1023, 1024, 1025, 4096, 65535, 65536, 65537,
+               2 * 65536 + 1024, 3 * 65536 - 1]
+
+
+class TestSpanTrim:
+    @given(st.data())
+    def test_matches_byte_by_byte_trim(self, data):
+        size = data.draw(st.sampled_from(_EDGE_SIZES)
+                         | st.integers(1, 3 * 65536 + 7))
+        buf = bytearray(size)
+        writes = data.draw(st.lists(
+            st.tuples(st.integers(0, size - 1), st.integers(1, 255)),
+            max_size=4))
+        for offset, value in writes:
+            buf[offset] = value
+        mem = Memory()
+        region = mem.map_region("r", 0x10000, size)
+        region.data[:] = buf
+        (image,) = capture_memory(mem)
+        assert image == _reference_image(region)
+        if image.payload:
+            assert nonzero_span(buf) == (
+                image.start, image.start + len(image.payload))
+        else:
+            assert nonzero_span(buf) == (0, 0)
+
+    def test_engine_captures_match_reference(self, built):
+        """Real heap/stack/globals images from a recording run."""
+        module, program = built
+        for engine in (IRInterpreter(module), AsmSimulator(program)):
+            engine.run()
+            for image, region in zip(capture_memory(engine.memory),
+                                     engine.memory.regions()):
+                assert image == _reference_image(region)
 
 
 class TestCheckpointStore:
