@@ -36,7 +36,7 @@ def injectors(workloads):
             for name, b in workloads.items()}
 
 
-class CampaignStore:
+class CampaignGrid:
     """Lazily computed, session-cached campaign grid."""
 
     def __init__(self, injectors):
@@ -54,7 +54,7 @@ class CampaignStore:
 
 @pytest.fixture(scope="session")
 def campaigns(injectors):
-    return CampaignStore(injectors)
+    return CampaignGrid(injectors)
 
 
 def once(benchmark, fn, *args, **kwargs):

@@ -36,24 +36,12 @@ how many trial slots actually run, so it — and the resolved
 of the key whenever it is nonzero.  ``--fault-model`` is a key component
 for the same reason: it decides what the firing injection does.  The
 full identity/accelerator split lives on ``CampaignRequest`` itself.
-
-Deprecated shims
-----------------
-
-``cache_key()`` and ``cached_campaign()`` — the pre-service API whose
-key was concatenated by hand here — keep working for one release as
-thin delegates to :class:`CampaignRequest` and the store layer (keys
-and cache files are byte-identical), emitting a ``DeprecationWarning``.
-New code should build a ``CampaignRequest`` and call
-:func:`campaign_cell` (or :func:`repro.service.runtime.run_request`
-directly).
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import warnings
 from dataclasses import dataclass
 
 from typing import Optional, Union
@@ -61,12 +49,11 @@ from typing import Optional, Union
 from repro.fi import (
     DEFAULT_ROUND_SIZE, CampaignConfig, CampaignResult, InjectorSpec,
     LLFIInjector, LLFIOptions, PINFIInjector, PINFIOptions,
-    run_parallel_campaign,
 )
 from repro.fi.engine import injector_for_spec
 from repro.fi.fault import list_fault_models
 from repro.service.request import CACHE_FORMAT_VERSION, CampaignRequest
-from repro.service.runtime import persist_prep, prime_injector, run_request
+from repro.service.runtime import run_request
 from repro.service.store import CampaignStore, DirectoryStore, as_store
 from repro.workloads import workload_names
 
@@ -74,7 +61,7 @@ DEFAULT_RESULTS_DIR = os.environ.get("REPRO_RESULTS_DIR", "results")
 
 __all__ = [
     "CACHE_FORMAT_VERSION", "DEFAULT_RESULTS_DIR", "Injectors",
-    "cache_key", "cached_campaign", "campaign_cell", "config_from_args",
+    "campaign_cell", "config_from_args",
     "experiment_argparser", "injectors_for", "selected_benchmarks",
     "store_from_args", "trace_dir_from_args",
 ]
@@ -121,56 +108,6 @@ def campaign_cell(workload: str, tool: str, category: str,
         llfi_options=llfi_options, pinfi_options=pinfi_options)
     return run_request(request, store=as_store(store, DEFAULT_RESULTS_DIR),
                        config=config)
-
-
-# -- deprecated pre-service API ------------------------------------------------
-
-def cache_key(workload: str, tool: str, category: str,
-              config: CampaignConfig, variant: str = "") -> str:
-    """Deprecated: build a :class:`CampaignRequest` and call ``.key()``.
-
-    Delegates to the request's derivation — byte-identical keys — and
-    will be removed one release after PR 9 (see CHANGES.md)."""
-    warnings.warn(
-        "cache_key() is deprecated; build a repro.service.CampaignRequest "
-        "and use its .key()", DeprecationWarning, stacklevel=2)
-    return CampaignRequest.from_config(workload, tool, category, config,
-                                       variant=variant).key()
-
-
-def cached_campaign(workload: str, tool: str, category: str,
-                    config: CampaignConfig,
-                    results_dir: str = DEFAULT_RESULTS_DIR,
-                    variant: str = "",
-                    llfi_options: Optional[LLFIOptions] = None,
-                    pinfi_options: Optional[PINFIOptions] = None,
-                    ) -> CampaignResult:
-    """Deprecated: use :func:`campaign_cell` (same cells, same cache
-    files — writes are atomic now) or the service API directly.
-
-    Kept for one release after PR 9 (see CHANGES.md).  Unlike the new
-    API this honours a programmatic ``config.model`` override, which the
-    spec-string-only request identity deliberately does not carry."""
-    warnings.warn(
-        "cached_campaign() is deprecated; use campaign_cell() or "
-        "repro.service.runtime.run_request()",
-        DeprecationWarning, stacklevel=2)
-    request = CampaignRequest.from_config(
-        workload, tool, category, config, variant=variant,
-        llfi_options=llfi_options, pinfi_options=pinfi_options)
-    store = DirectoryStore(results_dir)
-    cached = store.get_result(request)
-    if cached is not None:
-        return cached
-    # Run with the *original* config (not request.to_config()) so a
-    # programmatic model override keeps working through the shim.
-    injector = injector_for_spec(request.injector_spec())
-    prime_injector(injector, store, request)
-    result = run_parallel_campaign(request.injector_spec(), category,
-                                   config)
-    persist_prep(injector, store, request)
-    store.put_result(request, result)
-    return result
 
 
 # -- CLI ------------------------------------------------------------------------

@@ -57,6 +57,19 @@ fresh copy of each slot's stream without consuming the one the trial
 uses, so bucketing is pure scheduling: it never changes any slot's
 randomness, and the aggregate sorts by slot index anyway.
 
+One round barrier, several executors
+------------------------------------
+
+Every way of running a campaign shares three pieces defined here:
+:func:`run_slot_subset`, the only in-process unit of work (a whole
+inline round, one pool chunk or one service shard); :func:`run_rounds`,
+the only round barrier, which hands each round to an executor's
+``run_round(round_no, indices)`` callable; and :func:`merged_result`.
+Executors differ only in where a round's slots run: in this process
+(:func:`run_campaign`), on a process pool (:mod:`repro.fi.engine`), or
+as shards — in-process or on the service's store queue
+(:mod:`repro.service`).
+
 Observability
 -------------
 
@@ -75,8 +88,10 @@ import hashlib
 import os
 import random
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import FaultInjectionError
 from repro.fi.base import BaseInjector, BatchRequest, FirstAttempt
@@ -85,7 +100,7 @@ from repro.fi.llfi import LLFIInjector
 from repro.fi.outcome import Outcome, classify
 from repro.fi.pinfi import PINFIInjector
 from repro.fi.stats import Proportion, outcome_margins
-from repro.obs import recording
+from repro.obs import NULL_RECORDER, recording
 from repro.obs.manifest import (
     MANIFEST_SCHEMA_VERSION, RunManifest, manifest_filename, merge_counters,
     write_manifest,
@@ -634,49 +649,84 @@ def run_batch_group(injector: BaseInjector, category: str,
     return slots, stats
 
 
-def run_rounds(injector: BaseInjector, category: str, setup: CampaignSetup,
-               config: CampaignConfig,
-               ) -> Tuple[List[SlotResult], List[dict], List[dict],
-                          List[dict]]:
-    """Execute trial slots in-process, round by round and bucket-ordered,
-    stopping early once converged.  Returns (slots, round records, bucket
-    records, batch records); the parallel engine implements the same loop
-    with each round's ordered indices fanned out over the pool.
+# -- the round barrier and its unit of work -----------------------------------
 
-    With ``config.resolved_batch() > 0`` each bucket's slots run as batch
-    groups (shared sweep + COW forks) instead of one by one; the slots
-    produced are bit-identical either way."""
+@dataclass
+class RunRecords:
+    """Manifest records one campaign run accumulates while it executes.
+
+    The round barrier (:func:`run_rounds`) appends ``rounds``; the unit
+    of work (:func:`run_slot_subset`) appends ``buckets`` and, when
+    tracing, ``batches``; the executors append what only they see —
+    pool ``chunks``, service ``shards`` and worker recorder ``counters``.
+    :func:`build_run_manifest` reads them all from here."""
+
+    rounds: List[dict] = field(default_factory=list)
+    buckets: List[dict] = field(default_factory=list)
+    batches: List[dict] = field(default_factory=list)
+    chunks: List[dict] = field(default_factory=list)
+    shards: List[dict] = field(default_factory=list)
+    counters: List[Dict[str, int]] = field(default_factory=list)
+
+
+def run_slot_subset(injector: BaseInjector, category: str,
+                    setup: CampaignSetup, config: CampaignConfig,
+                    indices: Iterable[int], round_no: int,
+                    records: RunRecords) -> List[SlotResult]:
+    """The unit of work of every executor: run any subset of one
+    round's slot indices in this process — a whole round inline, one
+    pool chunk in a worker, or one service shard.
+
+    The subset is checkpoint-bucket-ordered and, with
+    ``config.resolved_batch() > 0``, cut into batch groups (shared sweep
+    + COW forks) instead of run slot by slot.  Each slot runs its own
+    RNG stream either way, so the slots produced are bit-identical to
+    the same indices of any other partition."""
+    if config.resolved_batch() > 0:
+        groups, buckets = order_round_batches(injector, category, setup,
+                                              config, round_no, indices)
+        slots: List[SlotResult] = []
+        for group_id, bucket, group_indices in groups:
+            group_slots, stats = run_batch_group(injector, category, setup,
+                                                 config, group_indices)
+            slots.extend(group_slots)
+            if config.tracing:
+                records.batches.append(
+                    stats.to_record(round_no, group_id, bucket))
+    else:
+        ordered, buckets = order_round(injector, category, setup, config,
+                                       round_no, indices)
+        slots = [run_trial_slot(injector, category, setup, config, index)
+                 for index in ordered]
+    records.buckets.extend(buckets)
+    return slots
+
+
+#: One executor's round: ``run_round(round_no, indices)`` runs those slot
+#: indices wherever the executor runs them and returns their results in
+#: any order.
+RoundRunner = Callable[[int, Sequence[int]], List[SlotResult]]
+
+
+def run_rounds(config: CampaignConfig, run_round: RoundRunner,
+               records: RunRecords) -> List[SlotResult]:
+    """The round barrier of every campaign path: per round from
+    :func:`plan_rounds`, run the round's slots through ``run_round``,
+    then evaluate the stop decision on the whole slot prefix so far and
+    stop once converged.
+
+    Rounds and stop decisions depend on the config alone, so any
+    executor — inline, process pool, in-process shards or the service's
+    store queue — executes the same slot prefix and stops at the same
+    boundary.  Appends one ``round`` record per round to ``records``."""
     slots: List[SlotResult] = []
-    rounds: List[dict] = []
-    bucket_records: List[dict] = []
-    batch_records: List[dict] = []
-    batching = config.resolved_batch() > 0
     for round_no, (start, end) in enumerate(plan_rounds(config)):
-        if batching:
-            groups, buckets = order_round_batches(
-                injector, category, setup, config, round_no,
-                range(start, end))
-            bucket_records.extend(buckets)
-            for group_id, bucket, indices in groups:
-                group_slots, stats = run_batch_group(
-                    injector, category, setup, config, indices)
-                slots.extend(group_slots)
-                if config.tracing:
-                    batch_records.append(
-                        stats.to_record(round_no, group_id, bucket))
-        else:
-            ordered, buckets = order_round(injector, category, setup,
-                                           config, round_no,
-                                           range(start, end))
-            bucket_records.extend(buckets)
-            slots.extend(run_trial_slot(injector, category, setup, config,
-                                        index)
-                         for index in ordered)
+        slots.extend(run_round(round_no, range(start, end)))
         decision = evaluate_stop(slots, config)
-        rounds.append(decision.to_record(round_no))
+        records.rounds.append(decision.to_record(round_no))
         if decision.stop:
             break
-    return slots, rounds, bucket_records, batch_records
+    return slots
 
 
 def merged_result(tool: str, category: str, slots: List[SlotResult],
@@ -706,16 +756,7 @@ def merged_result(tool: str, category: str, slots: List[SlotResult],
     return result
 
 
-def aggregate_slots(tool: str, category: str, config: CampaignConfig,
-                    setup: CampaignSetup,
-                    slots: List[SlotResult]) -> CampaignResult:
-    """:func:`merged_result` with the setup scalars read off a live
-    :class:`CampaignSetup` (the local, single-process entry point)."""
-    return merged_result(tool, category, slots, setup.candidates,
-                         setup.golden.instructions)
-
-
-# -- shard execution (the campaign service's unit of work) ---------------------
+# -- the shard wire format -----------------------------------------------------
 
 def slot_to_json(slot: SlotResult) -> dict:
     """Serializable form of one slot result — the wire format shard
@@ -778,32 +819,6 @@ def merge_slot_shards(shards: Sequence[List[SlotResult]],
     return [merged[i] for i in sorted(merged)]
 
 
-def run_slot_subset(injector: BaseInjector, category: str,
-                    setup: CampaignSetup, config: CampaignConfig,
-                    indices: Sequence[int]) -> List[SlotResult]:
-    """Execute an arbitrary subset of slot indices — one shard of a
-    round.  The subset is checkpoint-bucket-ordered (and batch-grouped
-    when batching is on) exactly like a full round, and each slot runs
-    its own RNG stream, so the slots produced are bit-identical to the
-    same indices of an unsharded run."""
-    slots: List[SlotResult] = []
-    if config.resolved_batch() > 0:
-        groups, _ = order_round_batches(injector, category, setup, config,
-                                        0, indices)
-        for _group_id, _bucket, group_indices in groups:
-            group_slots, _stats = run_batch_group(injector, category,
-                                                  setup, config,
-                                                  group_indices)
-            slots.extend(group_slots)
-    else:
-        ordered, _ = order_round(injector, category, setup, config, 0,
-                                 indices)
-        slots.extend(run_trial_slot(injector, category, setup, config,
-                                    index)
-                     for index in ordered)
-    return slots
-
-
 # -- run manifests -------------------------------------------------------------
 
 @dataclass
@@ -848,22 +863,16 @@ def build_run_manifest(injector: BaseInjector, category: str,
                        config: CampaignConfig, setup: CampaignSetup,
                        slots: List[SlotResult], result: CampaignResult,
                        prep: PrepStats, wall_s: float,
-                       chunks: Optional[List[dict]] = None,
-                       counters: Optional[List[Dict[str, int]]] = None,
-                       rounds: Optional[List[dict]] = None,
-                       buckets: Optional[List[dict]] = None,
-                       batches: Optional[List[dict]] = None,
-                       shards: Optional[List[dict]] = None,
-                       service: Optional[dict] = None,
-                       ) -> RunManifest:
+                       records: RunRecords,
+                       service: Optional[dict] = None) -> RunManifest:
     """Assemble the JSONL run manifest of one campaign (see
     :mod:`repro.obs.manifest` for the schema and the accounting identity
-    it guarantees)."""
+    it guarantees) from its result and the records its run accumulated."""
     store = injector.ensure_checkpoints()
     trials = [_trial_record(slot)
               for slot in sorted(slots, key=lambda s: s.index)]
-    rounds = rounds or []
-    batches = batches or []
+    rounds = records.rounds
+    batches = records.batches
     header = {
         "schema": MANIFEST_SCHEMA_VERSION,
         "workload": injector.workload_name or "adhoc",
@@ -890,7 +899,7 @@ def build_run_manifest(injector: BaseInjector, category: str,
         "prep_instructions": prep.instructions,
     }
     n_stop = len(trials)
-    merged = merge_counters(counters or [])
+    merged = merge_counters(records.counters)
     compile_stats = injector.compile_stats()
     compile_records = [{
         "tool": injector.name,
@@ -935,10 +944,10 @@ def build_run_manifest(injector: BaseInjector, category: str,
         "counters": merged,
     }
     return RunManifest(header=header, setup=setup_record, trials=trials,
-                       chunks=chunks or [], summary=summary,
-                       rounds=rounds, buckets=buckets or [],
+                       chunks=records.chunks, summary=summary,
+                       rounds=rounds, buckets=records.buckets,
                        batches=batches, compiles=compile_records,
-                       shards=shards or [])
+                       shards=records.shards)
 
 
 def write_campaign_manifest(manifest: RunManifest, trace_dir: str) -> str:
@@ -952,34 +961,53 @@ def write_campaign_manifest(manifest: RunManifest, trace_dir: str) -> str:
     return write_manifest(path, manifest)
 
 
+def drive_campaign(injector: BaseInjector, category: str,
+                   config: CampaignConfig,
+                   execute: Callable[..., List[SlotResult]],
+                   ) -> CampaignResult:
+    """The body every local campaign shares: prepare (golden, profile,
+    checkpoints), drive the rounds under a recorder when tracing, merge,
+    and write the run manifest when ``trace_dir`` is set.
+
+    ``execute(setup, records, round_no, indices)`` runs one round once
+    the setup is prepared: :func:`run_campaign` runs it inline,
+    :func:`repro.fi.engine.run_parallel_campaign` over its worker
+    pool."""
+    t0 = time.perf_counter()
+    baseline = snapshot_prep(injector)
+    records = RunRecords()
+    with recording() if config.tracing else nullcontext(NULL_RECORDER) \
+            as rec:
+        setup = prepare_campaign(injector, category, config)
+        prep = prep_delta(injector, baseline)
+        slots = run_rounds(config, partial(execute, setup, records),
+                           records)
+    result = merged_result(injector.name, category, slots, setup.candidates,
+                           setup.golden.instructions)
+    if config.trace_dir:
+        records.counters.append(rec.counters_snapshot())
+        manifest = build_run_manifest(
+            injector, category, config, setup, slots, result, prep,
+            wall_s=time.perf_counter() - t0, records=records)
+        write_campaign_manifest(manifest, config.trace_dir)
+    return result
+
+
 def run_campaign(injector: BaseInjector, category: str,
                  config: Optional[CampaignConfig] = None) -> CampaignResult:
     """Run one (tool, category) fault-injection campaign in-process.
 
-    Bit-identical to ``run_parallel_campaign`` at any job count: both paths
-    execute the same per-slot streams round by round and aggregate with
-    :func:`aggregate_slots`."""
+    Bit-identical to ``run_parallel_campaign`` at any job count: both
+    drive the same rounds over the same per-slot streams and merge with
+    :func:`merged_result`."""
     config = config or CampaignConfig()
-    if not config.tracing:
-        setup = prepare_campaign(injector, category, config)
-        slots, _, _, _ = run_rounds(injector, category, setup, config)
-        return aggregate_slots(injector.name, category, config, setup, slots)
-    t0 = time.perf_counter()
-    baseline = snapshot_prep(injector)
-    with recording() as rec:
-        setup = prepare_campaign(injector, category, config)
-        prep = prep_delta(injector, baseline)
-        slots, rounds, buckets, batches = run_rounds(injector, category,
-                                                     setup, config)
-    result = aggregate_slots(injector.name, category, config, setup, slots)
-    if config.trace_dir:
-        manifest = build_run_manifest(
-            injector, category, config, setup, slots, result, prep,
-            wall_s=time.perf_counter() - t0,
-            counters=[rec.counters_snapshot()],
-            rounds=rounds, buckets=buckets, batches=batches)
-        write_campaign_manifest(manifest, config.trace_dir)
-    return result
+
+    def execute(setup: CampaignSetup, records: RunRecords, round_no: int,
+                indices: Sequence[int]) -> List[SlotResult]:
+        return run_slot_subset(injector, category, setup, config, indices,
+                               round_no, records)
+
+    return drive_campaign(injector, category, config, execute)
 
 
 def run_grid(llfi: LLFIInjector, pinfi: PINFIInjector,

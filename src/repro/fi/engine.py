@@ -1,12 +1,17 @@
-"""Parallel campaign engine: fan trial slots out over a process pool.
+"""Parallel campaign engine: the process-pool executor of the campaign
+round barrier.
 
 Campaign trials are independent by construction (each slot owns a
 deterministic RNG stream, see ``repro.fi.campaign``), so a campaign
-parallelises perfectly: pre-assign slot indices to chunks, run chunks on a
-``multiprocessing`` pool, and fold the ``SlotResult`` stream back into a
-``CampaignResult`` in the parent.  ``jobs=1`` and ``jobs=N`` are
-bit-identical — both execute the same per-slot streams and the aggregate
-sorts by slot index.
+parallelises perfectly.  :func:`run_parallel_campaign` drives the same
+round barrier as the in-process path (``drive_campaign`` ->
+``run_rounds``); only where a round's slots run differs.  The parent
+bucket-orders each round (``order_round``) and cuts it into contiguous
+chunks; each worker runs its chunk through ``run_slot_subset`` — the
+unit of work inline rounds and service shards run too, so batch groups
+form per chunk — and the parent merges the ``SlotResult`` stream.
+``jobs=1`` and ``jobs=N`` are bit-identical: both execute the same
+per-slot streams and the merge sorts by slot index.
 
 Workers never receive simulator state: injector candidate sets are keyed by
 ``id()`` and would not survive pickling.  Instead each worker rebuilds the
@@ -28,17 +33,21 @@ import atexit
 import multiprocessing
 import os
 import time
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import FaultInjectionError
 from repro.fi.base import BaseInjector
 from repro.fi.campaign import (
-    CampaignConfig, CampaignResult, SlotResult, aggregate_slots,
-    build_run_manifest, evaluate_stop, order_round, order_round_batches,
-    plan_rounds, prep_delta, prepare_campaign, run_batch_group, run_rounds,
-    run_trial_slot, snapshot_prep, write_campaign_manifest,
+    CampaignConfig, CampaignResult, CampaignSetup, RunRecords, SlotResult,
+    drive_campaign, order_round, prepare_campaign, run_campaign,
+    run_slot_subset,
+)
+# Not called here: benchmarks/e2e/spans.py wraps these names on this
+# module as well as on repro.fi.campaign, and fails on a missing one.
+from repro.fi.campaign import (  # noqa: F401
+    order_round_batches, run_trial_slot,
 )
 from repro.fi.llfi import LLFIInjector, LLFIOptions
 from repro.fi.pinfi import PINFIInjector, PINFIOptions
@@ -47,12 +56,6 @@ from repro.obs import NULL_RECORDER, recording
 #: Chunks handed out per worker; >1 smooths load imbalance between chunks
 #: (individual injection runs vary in length — crashes are short).
 _CHUNKS_PER_JOB = 4
-
-
-@contextmanager
-def _no_recording():
-    """Placeholder for ``recording()`` when the campaign does not trace."""
-    yield NULL_RECORDER
 
 
 @dataclass(frozen=True)
@@ -111,67 +114,32 @@ def forget_workload(workload: str) -> None:
         shutdown_pool()
 
 
-def _run_chunk(task: Tuple[InjectorSpec, str, CampaignConfig, List[int]]
-               ) -> Tuple[List[SlotResult], Optional[dict]]:
-    """Worker entry point: execute one chunk of pre-assigned slot indices.
+def _run_chunk(task: Tuple[InjectorSpec, str, CampaignConfig, int,
+                             List[int]]
+               ) -> Tuple[List[SlotResult], List[dict], Optional[dict]]:
+    """Worker entry point: run one chunk of a round's bucket-ordered slot
+    indices through :func:`~repro.fi.campaign.run_slot_subset`.
 
-    Returns the slot results plus, when the campaign traces, a chunk
-    record (worker PID, slot indices, wall time, recorder counters) for
-    the run manifest.  Workers never write manifests themselves — the
+    Returns the slot results, the chunk's batch records (group ids
+    counted from 0 within the chunk) and, when the campaign traces, a
+    chunk record (worker PID, slot indices, wall time, recorder counters)
+    for the run manifest.  Workers never write manifests themselves — the
     parent merges chunk records deterministically."""
-    spec, category, config, indices = task
+    spec, category, config, round_no, indices = task
     injector = injector_for_spec(spec)
-    if not config.tracing:
-        setup = prepare_campaign(injector, category, config)
-        return [run_trial_slot(injector, category, setup, config, index)
-                for index in indices], None
+    records = RunRecords()
     t0 = time.perf_counter()
-    with recording() as rec:
+    with recording() if config.tracing else nullcontext(NULL_RECORDER) \
+            as rec:
         setup = prepare_campaign(injector, category, config)
-        slots = [run_trial_slot(injector, category, setup, config, index)
-                 for index in indices]
-    info = {"worker": os.getpid(), "slots": list(indices),
-            "wall_s": round(time.perf_counter() - t0, 6),
-            "counters": rec.counters_snapshot()}
-    return slots, info
-
-
-def _run_batch_chunk(task: Tuple[InjectorSpec, str, CampaignConfig, int,
-                                 List[Tuple[int, int, List[int]]]]
-                     ) -> Tuple[List[SlotResult], List[dict],
-                                Optional[dict]]:
-    """Worker entry point for batched dispatch: execute whole batch
-    groups.  Groups are atomic — every lane of a group forks from the one
-    sweep this worker runs — so chunking happens at group granularity and
-    results stay independent of the chunk layout."""
-    spec, category, config, round_no, groups = task
-    injector = injector_for_spec(spec)
-    batch_records: List[dict] = []
-
-    def run_groups(setup) -> List[SlotResult]:
-        slots: List[SlotResult] = []
-        for group_id, bucket, indices in groups:
-            group_slots, stats = run_batch_group(injector, category, setup,
-                                                 config, indices)
-            slots.extend(group_slots)
-            if config.tracing:
-                batch_records.append(
-                    stats.to_record(round_no, group_id, bucket))
-        return slots
-
-    if not config.tracing:
-        setup = prepare_campaign(injector, category, config)
-        return run_groups(setup), batch_records, None
-    t0 = time.perf_counter()
-    with recording() as rec:
-        setup = prepare_campaign(injector, category, config)
-        slots = run_groups(setup)
-    info = {"worker": os.getpid(),
-            "slots": [i for _, _, indices in groups for i in indices],
-            "batches": [group_id for group_id, _, _ in groups],
-            "wall_s": round(time.perf_counter() - t0, 6),
-            "counters": rec.counters_snapshot()}
-    return slots, batch_records, info
+        slots = run_slot_subset(injector, category, setup, config, indices,
+                                round_no, records)
+    info = None
+    if config.tracing:
+        info = {"worker": os.getpid(), "slots": list(indices),
+                "wall_s": round(time.perf_counter() - t0, 6),
+                "counters": rec.counters_snapshot()}
+    return slots, records.batches, info
 
 
 def _warm_key(spec_key: str, injector: BaseInjector) -> str:
@@ -244,33 +212,6 @@ def _chunk_list(indices: List[int], jobs: int) -> List[List[int]]:
     return [indices[i:i + size] for i in range(0, n, size)]
 
 
-def _chunk_indices(trials: int, jobs: int) -> List[List[int]]:
-    return _chunk_list(list(range(trials)), jobs)
-
-
-def _chunk_groups(groups: List[Tuple[int, int, List[int]]], jobs: int,
-                  ) -> List[List[Tuple[int, int, List[int]]]]:
-    """Split batch groups into contiguous chunks, balancing by slot count
-    (groups vary in size: the last group of a bucket is a remainder).
-    Groups are never split — a group's lanes must share one sweep in one
-    worker process."""
-    total = sum(len(indices) for _, _, indices in groups)
-    nchunks = max(1, min(len(groups), jobs * _CHUNKS_PER_JOB))
-    target = -(-total // nchunks)  # ceil
-    chunks: List[List[Tuple[int, int, List[int]]]] = []
-    current: List[Tuple[int, int, List[int]]] = []
-    current_slots = 0
-    for group in groups:
-        if current and current_slots >= target:
-            chunks.append(current)
-            current, current_slots = [], 0
-        current.append(group)
-        current_slots += len(group[2])
-    if current:
-        chunks.append(current)
-    return chunks
-
-
 def run_parallel_campaign(spec: InjectorSpec, category: str,
                           config: Optional[CampaignConfig] = None,
                           jobs: Optional[int] = None) -> CampaignResult:
@@ -281,74 +222,41 @@ def run_parallel_campaign(spec: InjectorSpec, category: str,
     decisions and per-slot streams are all functions of the config alone.
     Each round's bucket-ordered indices are chunked contiguously over the
     pool; the stop decision is evaluated in the parent on the full slot
-    prefix after every round, exactly like the in-process path."""
+    prefix after every round, by the same round barrier as the in-process
+    path."""
     config = config or CampaignConfig()
     jobs = resolve_jobs(config.jobs if jobs is None else jobs)
-    # Build + golden + profile (+ record checkpoints) in the parent first:
-    # the result needs N and the golden instruction count anyway, and a
-    # forked pool inherits these caches so workers skip them entirely.
     injector = injector_for_spec(spec)
-    tracing = config.tracing
-    t0 = time.perf_counter()
-    baseline = snapshot_prep(injector)
-    chunks: List[dict] = []
-    counters: List[Dict[str, int]] = []
-    rounds: List[dict] = []
-    buckets: List[dict] = []
-    batches: List[dict] = []
-    batching = config.resolved_batch() > 0
-    with recording() if tracing else _no_recording() as rec:
-        setup = prepare_campaign(injector, category, config)
-        prep = prep_delta(injector, baseline)
-        if jobs <= 1 or config.trials <= 1:
-            slots, rounds, buckets, batches = run_rounds(
-                injector, category, setup, config)
-        else:
-            pool = _get_pool(jobs, _warm_key(spec.key(), injector))
-            slots: List[SlotResult] = []
-            chunk_id = 0
-            for round_no, (start, end) in enumerate(plan_rounds(config)):
-                if batching:
-                    groups, bucket_records = order_round_batches(
-                        injector, category, setup, config, round_no,
-                        range(start, end))
-                    buckets.extend(bucket_records)
-                    tasks = [(spec, category, config, round_no, chunk)
-                             for chunk in _chunk_groups(groups, jobs)]
-                    for chunk_slots, records, info in pool.map(
-                            _run_batch_chunk, tasks):
-                        slots.extend(chunk_slots)
-                        batches.extend(records)
-                        if info is not None:
-                            counters.append(info.pop("counters"))
-                            info["chunk"] = chunk_id
-                            chunks.append(info)
-                        chunk_id += 1
-                else:
-                    ordered, bucket_records = order_round(
-                        injector, category, setup, config, round_no,
-                        range(start, end))
-                    buckets.extend(bucket_records)
-                    tasks = [(spec, category, config, chunk)
-                             for chunk in _chunk_list(ordered, jobs)]
-                    for chunk_slots, info in pool.map(_run_chunk, tasks):
-                        slots.extend(chunk_slots)
-                        if info is not None:
-                            counters.append(info.pop("counters"))
-                            info["chunk"] = chunk_id
-                            chunks.append(info)
-                        chunk_id += 1
-                decision = evaluate_stop(slots, config)
-                rounds.append(decision.to_record(round_no))
-                if decision.stop:
-                    break
-    result = aggregate_slots(injector.name, category, config, setup, slots)
-    if config.trace_dir:
-        counters.append(rec.counters_snapshot())
-        manifest = build_run_manifest(
-            injector, category, config, setup, slots, result, prep,
-            wall_s=time.perf_counter() - t0, chunks=chunks,
-            counters=counters, rounds=rounds, buckets=buckets,
-            batches=batches)
-        write_campaign_manifest(manifest, config.trace_dir)
-    return result
+    if jobs <= 1 or config.trials <= 1:
+        return run_campaign(injector, category, config)
+
+    def execute(setup: CampaignSetup, records: RunRecords, round_no: int,
+                indices: Sequence[int]) -> List[SlotResult]:
+        # drive_campaign prepares (build + golden + profile + checkpoints) in
+        # the parent before the first round, so a pool forked here
+        # inherits those caches and workers skip them entirely.
+        pool = _get_pool(jobs, _warm_key(spec.key(), injector))
+        ordered, buckets = order_round(injector, category, setup, config,
+                                       round_no, indices)
+        records.buckets.extend(buckets)
+        tasks = [(spec, category, config, round_no, chunk)
+                 for chunk in _chunk_list(ordered, jobs)]
+        slots: List[SlotResult] = []
+        groups = 0
+        for chunk_slots, batches, info in pool.map(_run_chunk, tasks):
+            slots.extend(chunk_slots)
+            # Renumber the chunk's batch groups so ``group`` stays a
+            # per-round ordinal across chunks.
+            for batch in batches:
+                batch["group"] += groups
+            groups += len(batches)
+            records.batches.extend(batches)
+            if info is not None:
+                if batches:
+                    info["batches"] = [b["group"] for b in batches]
+                records.counters.append(info.pop("counters"))
+                info["chunk"] = len(records.chunks)
+                records.chunks.append(info)
+        return slots
+
+    return drive_campaign(injector, category, config, execute)

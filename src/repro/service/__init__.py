@@ -4,7 +4,7 @@ The service layer turns one-shot CLI campaigns into submittable jobs:
 
 * :class:`CampaignRequest` — the frozen, schema-versioned identity of one
   campaign cell.  It owns the results-cache key derivation (replacing the
-  old hand-concatenated ``cache_key()`` string), serializes as the job
+  legacy hand-concatenated key string), serializes as the job
   payload, and is accepted everywhere a ``(workload, tool, category,
   config)`` tuple used to be threaded.
 * :class:`CampaignStore` — where results live: the classic file-per-key
@@ -28,7 +28,7 @@ from repro.service.request import (
     split_shard_indices,
 )
 from repro.service.runtime import (
-    prep_ref, prime_injector, persist_prep, run_request, run_shard,
+    prime_injector, persist_prep, run_request, run_shard,
 )
 from repro.service.store import (
     CampaignStore, DirectoryStore, SQLiteStore, as_store, atomic_write_json,
@@ -45,7 +45,6 @@ __all__ = [
     "as_store",
     "atomic_write_json",
     "open_store",
-    "prep_ref",
     "prime_injector",
     "persist_prep",
     "run_request",

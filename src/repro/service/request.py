@@ -12,9 +12,10 @@ fields are.  Accelerator knobs (``jobs``, ``checkpoint_stride``,
 proven result-inert, so they belong to the execution environment
 (:meth:`to_config`'s ``like`` argument), never to the identity.
 
-Key compatibility: :meth:`key` produces byte-identical strings to the old
-``cache_key()`` (format ``v4-...``), so every existing results cache —
-file-per-key directories and SQLite stores alike — stays valid.
+Key compatibility: :meth:`key` produces byte-identical strings to the
+legacy hand-concatenated key (format ``v4-...``), so every existing
+results cache — file-per-key directories and SQLite stores alike —
+stays valid.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ class CampaignRequest:
 
     def key(self) -> str:
         """The results-store key: every request field that can change the
-        result, in the exact format the old ``cache_key()`` concatenated
+        result, in the exact format the legacy hand-concatenated key used
         (existing caches stay valid byte for byte)."""
         model = get_fault_model(self.fault_model)
         key = (f"v{CACHE_FORMAT_VERSION}-{self.workload}-{self.tool}"

@@ -17,32 +17,34 @@ Three layers, all built on the campaign invariants proven in
 * :func:`run_request` — the cache-through entry point: store hit, else
   prime, run through the parallel engine, persist prep + result.
 
-* :func:`run_shard` / :func:`run_request_sharded` — the shard protocol.
-  A shard executes an arbitrary subset of one round's slot indices and
-  returns a JSON payload (slots + the setup scalars + prep accounting).
-  The coordinator merges payloads with :func:`merge_shard_payloads`,
-  evaluates the Wilson-CI stop decision at each round barrier exactly
-  like a local run, and aggregates with
+* :func:`run_shard` / :func:`drive_shards` — the shard protocol, the
+  shard executor of the campaign round barrier.  A shard executes an arbitrary
+  subset of one round's slot indices through
+  :func:`~repro.fi.campaign.run_slot_subset` and returns a JSON payload
+  (slots + the setup scalars + prep accounting).  :func:`drive_shards`
+  hands each round of that barrier
+  (:func:`~repro.fi.campaign.run_rounds`) to shards, merges their
+  payloads with :func:`merge_shard_payloads` and aggregates with
   :func:`~repro.fi.campaign.merged_result` — so the sharded result is
-  bit-identical to ``jobs=1`` by construction.
-  :func:`run_request_sharded` is the in-process reference implementation
-  of that protocol (the HTTP server runs the same loop over claimed
-  store shards).
+  bit-identical to ``jobs=1`` by construction.  Where the shards run is
+  the caller's choice: in this process (:func:`run_request_sharded`,
+  the protocol's test reference) or on store workers (the HTTP
+  coordinator in :mod:`repro.service.server`).
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import FaultInjectionError
 from repro.fi.base import BaseInjector
 from repro.fi.campaign import (
-    CampaignConfig, CampaignResult, PrepStats, SlotResult,
-    build_run_manifest, evaluate_stop, merge_slot_shards, merged_result,
-    plan_rounds, prep_delta, prepare_campaign, run_slot_subset,
-    slot_from_json, slot_to_json, snapshot_prep, write_campaign_manifest,
+    CampaignConfig, CampaignResult, PrepStats, RunRecords, SlotResult,
+    build_run_manifest, merge_slot_shards, merged_result, prep_delta,
+    prepare_campaign, run_rounds, run_slot_subset, slot_from_json,
+    slot_to_json, snapshot_prep, write_campaign_manifest,
 )
 from repro.fi.engine import injector_for_spec, run_parallel_campaign
 from repro.service.request import CampaignRequest, split_shard_indices
@@ -52,12 +54,6 @@ from repro.vm.result import ExecutionResult
 #: Schema of prep artifacts and shard payloads; bump on any field change.
 PREP_SCHEMA_VERSION = 1
 SHARD_SCHEMA_VERSION = 1
-
-
-def prep_ref(request: CampaignRequest) -> str:
-    """The store ref of a request's shared preparation artifact (the
-    method, re-exported as the service-level function)."""
-    return request.prep_ref()
 
 
 def _golden_to_json(golden: ExecutionResult) -> dict:
@@ -167,8 +163,10 @@ def run_shard(request: CampaignRequest, indices: Sequence[int],
     prep = prep_delta(injector, baseline)
     if store is not None:
         persist_prep(injector, store, request)
+    # A shard's payload carries no scheduling records: round 0 and a
+    # throwaway accumulator.
     slots = run_slot_subset(injector, request.category, setup, run_config,
-                            indices)
+                            indices, 0, RunRecords())
     return {
         "schema": SHARD_SCHEMA_VERSION,
         "tool": request.tool,
@@ -222,17 +220,43 @@ def merge_shard_payloads(payloads: Sequence[dict],
     return slots, candidates, golden_instructions
 
 
+def drive_shards(request: CampaignRequest, config: CampaignConfig,
+                 shards: int,
+                 run_shards: Callable[[int, List[List[int]]], List[dict]],
+                 records: RunRecords,
+                 ) -> Tuple[List[SlotResult], CampaignResult]:
+    """The shard executor of the campaign round barrier: each round's slot
+    indices are split into ``shards`` contiguous pieces
+    (:func:`split_shard_indices`), ``run_shards(round_no, partitions)``
+    runs them wherever the caller runs shards and returns one payload
+    per partition, and the merged payload slots go back to the round
+    barrier.  Returns the slots and their
+    :func:`~repro.fi.campaign.merged_result`, aggregated from the
+    payloads' setup scalars — no live injector needed.  Appends one
+    ``shard`` record per payload to ``records``."""
+    scalars: Dict[str, int] = {}
+
+    def run_round(round_no: int, indices: Sequence[int]) -> List[SlotResult]:
+        payloads = run_shards(round_no, split_shard_indices(indices, shards))
+        records.shards += [shard_record(p, round_no, i)
+                           for i, p in enumerate(payloads)]
+        slots, scalars["candidates"], scalars["golden"] = \
+            merge_shard_payloads(payloads)
+        return slots
+
+    slots = run_rounds(config, run_round, records)
+    return slots, merged_result(request.tool, request.category, slots,
+                                scalars["candidates"], scalars["golden"])
+
+
 def run_request_sharded(request: CampaignRequest, shards: int,
                         store: Optional[CampaignStore] = None,
                         config: Optional[CampaignConfig] = None,
                         ) -> CampaignResult:
-    """Reference implementation of the round-barrier shard protocol,
-    entirely in-process: per round from :func:`plan_rounds`, partition
-    the round's slot indices into ``shards`` pieces, run each through
-    :func:`run_shard`, merge, evaluate the stop decision on the merged
-    prefix — exactly the loop the HTTP coordinator drives over claimed
-    store shards.  Bit-identical to a local ``jobs=1`` run for any shard
-    count (asserted by ``tests/service/test_shard_merge.py``).
+    """The shard protocol entirely in-process — its test reference: each
+    round's ``shards`` partitions run one after another through
+    :func:`run_shard`.  Bit-identical to a local ``jobs=1`` run for any
+    shard count (asserted by ``tests/service/test_shard_merge.py``).
 
     When the config traces (``trace_dir``), a schema-v6 run manifest is
     written with one ``shard`` record per executed shard and a
@@ -240,36 +264,24 @@ def run_request_sharded(request: CampaignRequest, shards: int,
     run."""
     run_config = request.to_config(like=config)
     t0 = time.perf_counter()
-    all_slots: List[SlotResult] = []
-    shard_records: List[dict] = []
-    rounds: List[dict] = []
-    candidates = golden_instructions = None
-    for round_no, (start, end) in enumerate(plan_rounds(run_config)):
-        partitions = split_shard_indices(range(start, end), shards)
-        payloads = [run_shard(request, part, store=store, config=config)
-                    for part in partitions]
-        shard_records += [shard_record(p, round_no, i)
-                          for i, p in enumerate(payloads)]
-        slots, candidates, golden_instructions = \
-            merge_shard_payloads(payloads)
-        all_slots.extend(slots)
-        decision = evaluate_stop(all_slots, run_config)
-        rounds.append(decision.to_record(round_no))
-        if decision.stop:
-            break
-    result = merged_result(request.tool, request.category, all_slots,
-                           candidates, golden_instructions)
+    records = RunRecords()
+    slots, result = drive_shards(
+        request, run_config, shards,
+        lambda round_no, partitions: [
+            run_shard(request, part, store=store, config=config)
+            for part in partitions],
+        records)
     if run_config.trace_dir:
         # The shard runner is in-process, so the (memoised) injector and
         # setup are at hand; prep cost is the sum the shards reported.
         injector = injector_for_spec(request.injector_spec())
         setup = prepare_campaign(injector, request.category, run_config)
         prep = PrepStats(
-            executions=sum(s["prep_executions"] for s in shard_records),
-            instructions=sum(s["prep_instructions"] for s in shard_records))
+            executions=sum(s["prep_executions"] for s in records.shards),
+            instructions=sum(s["prep_instructions"] for s in records.shards))
         manifest = build_run_manifest(
-            injector, request.category, run_config, setup, all_slots,
-            result, prep, wall_s=time.perf_counter() - t0, rounds=rounds,
-            shards=shard_records, service={"shards": shards})
+            injector, request.category, run_config, setup, slots, result,
+            prep, wall_s=time.perf_counter() - t0, records=records,
+            service={"shards": shards})
         write_campaign_manifest(manifest, run_config.trace_dir)
     return result

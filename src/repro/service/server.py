@@ -3,15 +3,16 @@
 ``python -m repro.service serve`` starts two things:
 
 * a **coordinator** thread that drains the store's job queue in FIFO
-  order.  For each job it drives the round-barrier shard protocol:
-  per round from :func:`~repro.fi.campaign.plan_rounds`, partition the
-  round's slot indices into the job's shard count, enqueue them as
-  store shards, wait for workers to finish the round, merge the payloads
-  (:func:`~repro.service.runtime.merge_shard_payloads`), evaluate the
-  Wilson-CI stop decision on the merged prefix — exactly the loop a
-  local run executes — then aggregate with
-  :func:`~repro.fi.campaign.merged_result` and persist the result.
-  Cache hits complete immediately without creating shards.
+  order.  For each job it drives the campaign round barrier
+  (:func:`~repro.fi.campaign.run_rounds`) through the shard executor
+  (:func:`~repro.service.runtime.drive_shards`) — the same loop and
+  merge every local run uses — with the store queue as the place shards
+  run: each round's partitions become store shards, workers claim and
+  finish them, and the coordinator waits for the whole round before the
+  stop decision.  Cancellation and shutdown leave the barrier by
+  exception; a job interrupted by shutdown goes back to ``queued`` for
+  the next coordinator.  Cache hits complete immediately without
+  creating shards.
 
 * a :class:`ThreadingHTTPServer` exposing the JSON API (all bodies and
   responses are ``application/json``):
@@ -45,11 +46,9 @@ from typing import List, Optional
 from urllib.parse import parse_qs, urlparse
 
 from repro.errors import FaultInjectionError
-from repro.fi.campaign import (
-    SlotResult, evaluate_stop, merged_result, plan_rounds,
-)
-from repro.service.request import CampaignRequest, split_shard_indices
-from repro.service.runtime import merge_shard_payloads
+from repro.fi.campaign import RunRecords
+from repro.service.request import CampaignRequest
+from repro.service.runtime import drive_shards
 from repro.service.store import SQLiteStore
 
 #: Accelerator knobs a submission may set on its workers.  Everything
@@ -70,6 +69,15 @@ def _shard_summary(shards: List[dict]) -> dict:
             "claimed": states.count("claimed"),
             "done": states.count("done"),
             "failed": states.count("failed")}
+
+
+class _JobCancelled(Exception):
+    """Raised out of the round barrier: the job was cancelled."""
+
+
+class _CoordinatorStopping(Exception):
+    """Raised out of the round barrier: the coordinator is shutting
+    down."""
 
 
 class Coordinator(threading.Thread):
@@ -109,39 +117,39 @@ class Coordinator(threading.Thread):
             self.store.set_job_state(job_id, "done", cached=True)
             return
         self.store.set_job_state(job_id, "running")
-        config = request.to_config()
-        slots: List[SlotResult] = []
-        candidates = golden_instructions = None
         try:
-            for round_no, (start, end) in enumerate(plan_rounds(config)):
-                partitions = split_shard_indices(range(start, end),
-                                                 job["shards"])
-                self.store.create_shards(job_id, round_no, partitions)
-                finished = self._await_round(job_id, round_no,
-                                             len(partitions))
-                if finished is None:  # cancelled
-                    return
-                round_slots, candidates, golden_instructions = \
-                    merge_shard_payloads([s["payload"] for s in finished])
-                slots.extend(round_slots)
-                if evaluate_stop(slots, config).stop:
-                    break
-            result = merged_result(request.tool, request.category, slots,
-                                   candidates, golden_instructions)
+            _, result = drive_shards(
+                request, request.to_config(), job["shards"],
+                lambda round_no, partitions: self._run_round(
+                    job_id, round_no, partitions),
+                RunRecords())
             self.store.put_result(request, result)
             self.store.set_job_state(job_id, "done")
+        except _JobCancelled:
+            pass
+        except _CoordinatorStopping:
+            # The next coordinator reruns the job from round 0; per-slot
+            # RNG streams make the rerun byte-identical.  A shard still
+            # running from this attempt may finish after the rerun has
+            # recreated it: it writes the same payload for the same
+            # indices, so the late write is harmless.
+            self.store.requeue_job(job_id)
         except FaultInjectionError as exc:
             self.store.set_job_state(job_id, "failed", error=str(exc))
 
-    def _await_round(self, job_id: int, round_no: int,
-                     expected: int) -> Optional[List[dict]]:
-        """Block until every shard of one round is done; None when the
-        job was cancelled meanwhile, FaultInjectionError when a shard
-        failed (its error is surfaced on the job)."""
+    def _run_round(self, job_id: int, round_no: int,
+                   partitions: List[List[int]]) -> List[dict]:
+        """The store queue's round: enqueue one store shard per
+        partition and block until workers finished them all; returns
+        their payloads in shard order.  Raises :class:`_JobCancelled`
+        or :class:`_CoordinatorStopping` to leave the round barrier, and
+        FaultInjectionError when a shard failed (its error is surfaced
+        on the job)."""
+        self.store.create_shards(job_id, round_no, partitions)
         while not self._stopping.is_set():
             job = self.store.job(job_id)
             if job is None or job["state"] == "cancelled":
-                return None
+                raise _JobCancelled()
             shards = self.store.shards_for(job_id, round_no)
             failed = [s for s in shards if s["state"] == "failed"]
             if failed:
@@ -149,10 +157,22 @@ class Coordinator(threading.Thread):
                     f"shard {failed[0]['shard']} of round {round_no} "
                     f"failed: {failed[0]['error']}")
             done = [s for s in shards if s["state"] == "done"]
-            if len(done) == expected:
-                return done
-            time.sleep(self.poll_s)
-        return None
+            if len(done) == len(partitions):
+                return [s["payload"] for s in done]
+            self._stopping.wait(self.poll_s)
+        raise _CoordinatorStopping()
+
+
+class _BadRequest(Exception):
+    """Malformed client input, replied to with HTTP 400."""
+
+
+def _int_arg(value: object, name: str) -> int:
+    try:
+        return int(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        raise _BadRequest(f"{name} must be an integer, got {value!r}") \
+            from None
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -180,17 +200,24 @@ class _Handler(BaseHTTPRequestHandler):
         self._reply(code, {"error": message})
 
     def _body(self) -> dict:
-        length = int(self.headers.get("Content-Length", "0"))
+        length = _int_arg(self.headers.get("Content-Length", "0"),
+                          "Content-Length")
         if length == 0:
             return {}
-        return json.loads(self.rfile.read(length))
+        try:
+            body = json.loads(self.rfile.read(length))
+        except ValueError as exc:
+            raise _BadRequest(f"body is not valid JSON: {exc}") from None
+        if not isinstance(body, dict):
+            raise _BadRequest("body must be a JSON object")
+        return body
 
     def _job_or_error(self, query: dict) -> Optional[dict]:
         raw = (query.get("job") or [None])[0]
         if raw is None:
             self._error(400, "missing ?job=ID")
             return None
-        job = self.store.job(int(raw))
+        job = self.store.job(_int_arg(raw, "job"))
         if job is None:
             self._error(404, f"no such job: {raw}")
             return None
@@ -217,6 +244,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self._fetch(query)
             else:
                 self._error(404, f"unknown endpoint {url.path}")
+        except _BadRequest as exc:
+            self._error(400, str(exc))
         except Exception as exc:  # surface, don't kill the thread
             self._error(500, f"{type(exc).__name__}: {exc}")
 
@@ -230,14 +259,15 @@ class _Handler(BaseHTTPRequestHandler):
                 if "job" not in body:
                     self._error(400, "missing 'job'")
                 else:
-                    ok = self.store.request_cancel(int(body["job"]))
+                    ok = self.store.request_cancel(
+                        _int_arg(body["job"], "job"))
                     if ok:
                         self._reply(200, {"cancelled": True})
                     else:
                         self._error(404, f"no such job: {body['job']}")
             else:
                 self._error(404, f"unknown endpoint {url.path}")
-        except FaultInjectionError as exc:
+        except (_BadRequest, FaultInjectionError) as exc:
             self._error(400, str(exc))
         except Exception as exc:
             self._error(500, f"{type(exc).__name__}: {exc}")
@@ -246,8 +276,12 @@ class _Handler(BaseHTTPRequestHandler):
         if "request" not in body:
             self._error(400, "missing 'request'")
             return
-        request = CampaignRequest.from_json(body["request"])
-        shards = int(body.get("shards", 1))
+        try:
+            request = CampaignRequest.from_json(body["request"])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise _BadRequest(f"malformed request: {type(exc).__name__}: "
+                              f"{exc}") from None
+        shards = _int_arg(body.get("shards", 1), "shards")
         if shards <= 0:
             self._error(400, f"shard count must be positive: {shards}")
             return

@@ -336,6 +336,18 @@ class SQLiteStore(CampaignStore):
                 "WHERE id = ?", (time.time(), job_id))
         return True
 
+    def requeue_job(self, job_id: int) -> None:
+        """Put a running job back in the queue and delete its shards, so
+        the next coordinator reruns it from round 0 (a job that finished
+        or was cancelled meanwhile is left alone)."""
+        with self._lock, self._conn:
+            cur = self._conn.execute(
+                "UPDATE jobs SET state = 'queued' "
+                "WHERE id = ? AND state = 'running'", (job_id,))
+            if cur.rowcount == 1:
+                self._conn.execute("DELETE FROM shards WHERE job = ?",
+                                   (job_id,))
+
     # -- shards --------------------------------------------------------------
     def create_shards(self, job_id: int, round_no: int,
                       partitions: List[List[int]]) -> None:

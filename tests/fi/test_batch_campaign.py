@@ -221,6 +221,26 @@ class TestBatchManifests:
             manifest.total_batch_shared() > 0
         assert s["batch_lanes"] + s["batch_detached"] == TRIALS
 
+    def test_pool_groups_stay_per_round_ordinals(self, tmp_path):
+        """Under the pool, batch groups form per worker chunk; the parent
+        renumbers them so ``group`` is still a per-round ordinal, and the
+        chunk records list those ids in order."""
+        run_parallel_campaign(
+            InjectorSpec("libquantumm", "PINFI"), "all",
+            CampaignConfig(trials=20, seed=SEED, checkpoint_stride=-1,
+                           batch=3, ci_margin=0.01, round_size=10, jobs=2,
+                           trace_dir=str(tmp_path)))
+        manifest = read_manifest(
+            glob.glob(os.path.join(str(tmp_path), "*.jsonl"))[0])
+        assert len(manifest.rounds) == 2 and manifest.chunks
+        groups = [(b["round"], b["group"]) for b in manifest.lines()
+                  if b["kind"] == "batch"]
+        for round_no in (0, 1):
+            ids = [g for r, g in groups if r == round_no]
+            assert ids == list(range(len(ids))) and ids
+        assert [g for c in manifest.chunks for g in c["batches"]] == \
+            [g for _, g in groups]
+
     def test_accounting_identity_with_batching(self, built, tmp_path):
         """prep + per-trial instructions + shared sweep instructions ==
         the fresh injector's instructions_simulated."""

@@ -20,7 +20,9 @@ from repro.fi import (
     Trial, evaluate_stop, plan_rounds, run_campaign, run_parallel_campaign,
     shutdown_pool,
 )
-from repro.fi.campaign import SlotResult, order_round, prepare_campaign
+from repro.fi.campaign import (
+    RunRecords, SlotResult, order_round, prepare_campaign, run_rounds,
+)
 from repro.fi.fault import FaultRecord
 from repro.fi.outcome import Outcome
 from repro.minic import compile_source
@@ -106,6 +108,28 @@ class TestPlanRounds:
         a = plan_rounds(CampaignConfig(trials=64, ci_margin=0.05, jobs=1))
         b = plan_rounds(CampaignConfig(trials=64, ci_margin=0.05, jobs=8))
         assert a == b
+
+
+class TestRunRounds:
+    """The round barrier every executor drives, here with a stand-in
+    executor that needs no injector."""
+
+    def test_stop_decision_sees_the_whole_prefix(self):
+        # A round of 5 all-benign slots never converges on its own
+        # (margin 0.217 >= 0.2); the 10-slot prefix does (0.139).
+        config = CampaignConfig(trials=40, ci_margin=0.2, round_size=5)
+        calls = []
+
+        def run_round(round_no, indices):
+            calls.append((round_no, list(indices)))
+            return [_slot(i, Outcome.BENIGN) for i in indices]
+
+        records = RunRecords()
+        slots = run_rounds(config, run_round, records)
+        assert calls == [(0, [0, 1, 2, 3, 4]), (1, [5, 6, 7, 8, 9])]
+        assert [s.index for s in slots] == list(range(10))
+        assert [(r["round"], r["executed"], r["stop"])
+                for r in records.rounds] == [(0, 5, False), (1, 10, True)]
 
 
 class TestPrefixIdentity:

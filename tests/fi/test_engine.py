@@ -14,7 +14,7 @@ from repro.fi import (
     CampaignConfig, InjectorSpec, LLFIInjector, derive_trial_seed,
     run_campaign, run_parallel_campaign, shutdown_pool, trial_stream,
 )
-from repro.fi.engine import _chunk_indices, injector_for_spec
+from repro.fi.engine import _chunk_list, injector_for_spec
 from repro.minic import compile_source
 
 SRC = """
@@ -72,9 +72,12 @@ class TestTrialStreams:
 class TestChunking:
     def test_chunks_partition_indices(self):
         for trials, jobs in [(1, 1), (7, 2), (100, 4), (3, 8)]:
-            chunks = _chunk_indices(trials, jobs)
+            # Any pre-ordered index list (e.g. bucket order) is cut into
+            # contiguous chunks in that order.
+            ordered = list(reversed(range(trials)))
+            chunks = _chunk_list(ordered, jobs)
             flat = [i for chunk in chunks for i in chunk]
-            assert flat == list(range(trials))
+            assert flat == ordered
             assert all(chunks)  # no empty chunks
 
 

@@ -444,17 +444,16 @@ class TestSweep:
     def test_sweep_cell_matches_standalone_run(self, tmp_path):
         """A sweep cell and a standalone run with the same --fault-model
         share one cache entry — bit-identical by construction."""
-        from repro.experiments.common import cached_campaign
+        from repro.experiments.common import campaign_cell
         from repro.experiments.sweep import collect
         config = CampaignConfig(trials=4, seed=SEED)
         cells = collect(["libquantumm"], ["arithmetic"], ["stuck-at-1"],
                         config, str(tmp_path))
         entries = os.listdir(tmp_path)
-        with pytest.warns(DeprecationWarning):
-            standalone = cached_campaign(
-                "libquantumm", "LLFI", "arithmetic",
-                dataclasses.replace(config, fault_model="stuck-at-1"),
-                str(tmp_path))
+        standalone = campaign_cell(
+            "libquantumm", "LLFI", "arithmetic",
+            dataclasses.replace(config, fault_model="stuck-at-1"),
+            store=str(tmp_path))
         # Cache entries hold the record-free ``to_json`` form; the reload
         # must match the live cell in every serialized field.
         assert standalone.to_json() == \

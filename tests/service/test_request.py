@@ -1,11 +1,9 @@
 """Unit tests for :class:`repro.service.CampaignRequest`: the canonical
 campaign-cell identity, its cache-key compatibility guarantee, the
-request <-> config split, JSON round-trips and the shard partitioner —
-plus the one-release deprecation shims in ``repro.experiments.common``.
+request <-> config split, JSON round-trips and the shard partitioner.
 """
 
 import dataclasses
-import warnings
 
 import pytest
 
@@ -124,26 +122,3 @@ class TestSplitShardIndices:
     def test_rejects_nonpositive_shards(self):
         with pytest.raises(FaultInjectionError):
             split_shard_indices(range(4), 0)
-
-
-class TestDeprecationShims:
-    def test_cache_key_warns_and_delegates(self):
-        from repro.experiments.common import cache_key
-        config = CampaignConfig(trials=5, seed=123)
-        with pytest.warns(DeprecationWarning):
-            key = cache_key("libquantumm", "LLFI", "cmp", config)
-        assert key == CampaignRequest.from_config(
-            "libquantumm", "LLFI", "cmp", config).key()
-
-    def test_cached_campaign_warns(self, tmp_path, built_workloads):
-        from repro.experiments.common import cached_campaign
-        config = CampaignConfig(trials=4, seed=123)
-        with pytest.warns(DeprecationWarning):
-            result = cached_campaign("libquantumm", "LLFI", "cmp", config,
-                                     results_dir=str(tmp_path))
-        from repro.service import DirectoryStore
-        cached = DirectoryStore(str(tmp_path)).get_result(
-            CampaignRequest.from_config("libquantumm", "LLFI", "cmp",
-                                        config))
-        assert cached is not None
-        assert cached.to_json() == result.to_json()

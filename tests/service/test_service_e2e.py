@@ -4,14 +4,20 @@ SQLite store.  The headline assertion is the acceptance criterion of the
 service: a sharded job's fetched result is byte-identical to a direct
 local run, for both tools, with resubmissions served from cache."""
 
+import json
+import time
+import urllib.error
+import urllib.request
+
 import pytest
 
 from repro.fi.engine import run_parallel_campaign
-from repro.service import CampaignRequest
+from repro.service import CampaignRequest, SQLiteStore
 from repro.service.client import (
     ServiceError, cancel, fetch, health, jobs, poll, submit, wait,
 )
-from repro.service.server import CampaignServer
+from repro.service.server import CampaignServer, Coordinator
+from repro.service.worker import worker_loop
 
 WORKLOAD = "libquantumm"
 TRIALS = 6
@@ -26,6 +32,33 @@ def _req(tool, category="all", **kw):
 def _local(request):
     return run_parallel_campaign(request.injector_spec(), request.category,
                                  request.to_config()).to_json()
+
+
+def _raw(address, method, path, body=None):
+    """One HTTP exchange without the client's validation: (status, reply)."""
+    req = urllib.request.Request(address + path, data=body, method=method)
+    try:
+        with urllib.request.urlopen(req, timeout=30) as resp:
+            return resp.status, json.loads(resp.read())
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read())
+
+
+#: Malformed client input, by test id: (method, path, raw body).
+MALFORMED = {
+    "poll-job-not-int": ("GET", "/poll?job=abc", None),
+    "fetch-job-not-int": ("GET", "/fetch?job=abc", None),
+    "cancel-job-not-int": ("POST", "/cancel", b'{"job": "x"}'),
+    "body-not-json": ("POST", "/submit", b"{not json"),
+    "request-missing-fields": (
+        "POST", "/submit",
+        json.dumps({"request": {"schema": 1, "workload": WORKLOAD},
+                    "shards": 1}).encode()),
+    "shards-not-int": (
+        "POST", "/submit",
+        json.dumps({"request": _req("LLFI").to_json(),
+                    "shards": "two"}).encode()),
+}
 
 
 @pytest.fixture(scope="module")
@@ -101,3 +134,45 @@ class TestServiceEndToEnd:
         listing = jobs(server.address)
         assert isinstance(listing, list)
         assert all("state" in j for j in listing)
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_input_is_400(self, server, case):
+        method, path, body = MALFORMED[case]
+        status, reply = _raw(server.address, method, path, body)
+        assert status == 400, reply
+        assert reply["error"]
+
+
+class TestCoordinatorShutdown:
+    def test_interrupted_job_is_requeued_and_rerun(self, tmp_path,
+                                                   built_workloads):
+        """A coordinator stopped mid-round puts its job back in the
+        queue with no shards; the next coordinator reruns it from round
+        0 to the local result instead of leaving it running forever."""
+        path = str(tmp_path / "queue.db")
+        request = _req("LLFI")
+        deadline = time.monotonic() + 120
+        with SQLiteStore(path) as store:
+            job_id = store.create_job(request, shards=2)
+            first = Coordinator(store, poll_s=0.01)
+            first.start()
+            while not store.shards_for(job_id):
+                assert time.monotonic() < deadline, "round 0 never started"
+                time.sleep(0.01)
+            first.shutdown()
+            assert not first.is_alive()
+            assert store.job(job_id)["state"] == "queued"
+            assert store.shards_for(job_id) == []
+
+            second = Coordinator(store, poll_s=0.01)
+            second.start()
+            try:
+                assert worker_loop(path, poll_s=0.01, idle_exit_s=60,
+                                   max_shards=2) == 2
+                while store.job(job_id)["state"] != "done":
+                    assert time.monotonic() < deadline, store.job(job_id)
+                    time.sleep(0.01)
+            finally:
+                second.shutdown()
+            assert not second.is_alive()
+            assert store.get_result(request).to_json() == _local(request)

@@ -1,54 +1,137 @@
-"""Shard-merge identity: any partition of a campaign's trial indices,
-merged through the round-barrier shard protocol, is byte-identical to
-the unsharded local run — including under Wilson-CI early stopping.
-This is the invariant that makes the job-queue service a pure
-accelerator."""
+"""The campaign executors' parity contract: every executor — inline, the
+process pool (with and without batching), in-process shards of any
+partition and the service's store queue — returns a result
+byte-identical to the local ``jobs=1`` run, for both tools, with and
+without Wilson-CI early stopping.  This is the invariant that makes
+every executor (the job-queue service included) a pure accelerator."""
+
+import time
+from typing import Callable, Dict
 
 import pytest
 
 from repro.errors import FaultInjectionError
-from repro.fi import CampaignConfig
-from repro.fi.campaign import SlotResult, merge_slot_shards
-from repro.fi.engine import run_parallel_campaign
-from repro.service import CampaignRequest
+from repro.fi import CampaignConfig, run_campaign
+from repro.fi.campaign import CampaignResult, SlotResult, merge_slot_shards
+from repro.fi.engine import injector_for_spec, run_parallel_campaign
+from repro.service import CampaignRequest, SQLiteStore
 from repro.service.runtime import (
     merge_shard_payloads, run_request_sharded, run_shard,
 )
+from repro.service.server import Coordinator
+from repro.service.worker import run_one_claim
 
 WORKLOAD = "libquantumm"
 TRIALS = 8
 SEED = 61
 
+#: The (tool, mode) cells every executor must reproduce.
+CELLS = [(tool, mode) for tool in ("LLFI", "PINFI")
+         for mode in ("fixed", "adaptive")]
 
-def _local(request: CampaignRequest) -> str:
-    return run_parallel_campaign(request.injector_spec(), request.category,
-                                 request.to_config()).to_json()
+
+def _request(tool: str, mode: str) -> CampaignRequest:
+    if mode == "adaptive":
+        return CampaignRequest(workload=WORKLOAD, tool=tool, category="all",
+                               trials=40, seed=SEED, ci_margin=0.3,
+                               round_size=10)
+    return CampaignRequest(workload=WORKLOAD, tool=tool, category="all",
+                           trials=TRIALS, seed=SEED)
+
+
+_LOCAL: Dict[CampaignRequest, dict] = {}
+
+
+def _local(request: CampaignRequest) -> dict:
+    """The reference: the local ``jobs=1`` result."""
+    if request not in _LOCAL:
+        _LOCAL[request] = run_parallel_campaign(
+            request.injector_spec(), request.category,
+            request.to_config()).to_json()
+    return _LOCAL[request]
+
+
+def _inline(request, tmp_path) -> CampaignResult:
+    return run_campaign(injector_for_spec(request.injector_spec()),
+                        request.category, request.to_config())
+
+
+def _pool(batch: int) -> Callable:
+    def run(request, tmp_path) -> CampaignResult:
+        return run_parallel_campaign(
+            request.injector_spec(), request.category,
+            request.to_config(like=CampaignConfig(jobs=2, batch=batch)))
+    return run
+
+
+def _shards(count: int) -> Callable:
+    return lambda request, tmp_path: run_request_sharded(request, count)
+
+
+def _store_queue(request, tmp_path) -> CampaignResult:
+    """An in-thread coordinator over a fresh SQLite store, with this
+    thread as the only shard worker."""
+    deadline = time.monotonic() + 120
+    with SQLiteStore(str(tmp_path / f"{request.key()}.db")) as store:
+        job_id = store.create_job(request, shards=2)
+        coordinator = Coordinator(store, poll_s=0.01)
+        coordinator.start()
+        try:
+            while store.job(job_id)["state"] in ("queued", "running"):
+                assert time.monotonic() < deadline, store.job(job_id)
+                claim = store.claim_shard("test-worker")
+                if claim is None:
+                    time.sleep(0.01)
+                else:
+                    run_one_claim(store, claim)
+        finally:
+            coordinator.shutdown()
+        assert not coordinator.is_alive()
+        job = store.job(job_id)
+        assert job["state"] == "done", job["error"]
+        return store.get_result(request)
+
+
+#: Every campaign executor, by test id; the in-process
+#: shard executor appears once per shard count ("1", "2", "5").
+EXECUTORS = {
+    "inline": _inline,
+    "pool": _pool(batch=0),
+    "pool-batch3": _pool(batch=3),
+    "1": _shards(1),
+    "2": _shards(2),
+    "5": _shards(5),
+    "store": _store_queue,
+}
 
 
 class TestShardIdentity:
-    @pytest.mark.parametrize("shards", [1, 2, 5])
-    def test_any_partition_matches_local(self, shards, built_workloads):
-        req = CampaignRequest(workload=WORKLOAD, tool="LLFI",
-                              category="all", trials=TRIALS, seed=SEED)
-        sharded = run_request_sharded(req, shards)
-        assert sharded.to_json() == _local(req)
+    @pytest.mark.parametrize("executor", list(EXECUTORS))
+    def test_any_partition_matches_local(self, executor, tmp_path,
+                                         built_workloads):
+        for tool, mode in CELLS:
+            request = _request(tool, mode)
+            result = EXECUTORS[executor](request, tmp_path)
+            assert result.to_json() == _local(request), (tool, mode)
+            if mode == "adaptive":
+                # The margin stops well before the 40-trial budget, so
+                # the stop decision itself is under test.
+                assert result.trials < request.trials
 
     def test_pinfi_partition_matches_local(self, built_workloads):
-        req = CampaignRequest(workload=WORKLOAD, tool="PINFI",
-                              category="all", trials=TRIALS, seed=SEED)
-        assert run_request_sharded(req, 3).to_json() == _local(req)
+        """Three shards split the 8 trials unevenly (3/3/2)."""
+        request = _request("PINFI", "fixed")
+        assert run_request_sharded(request, 3).to_json() == _local(request)
 
     def test_adaptive_partition_matches_local(self, built_workloads):
         """Early stopping decides at round barriers on the merged prefix,
         so the stopped sharded campaign equals the stopped local one —
-        same n_stop, same result bytes."""
-        req = CampaignRequest(workload=WORKLOAD, tool="LLFI",
-                              category="all", trials=40, seed=SEED,
-                              ci_margin=0.3, round_size=10)
-        sharded = run_request_sharded(req, 2)
-        local = _local(req)
-        assert sharded.to_json() == local
-        assert sharded.trials < 40  # the margin stops well before 40
+        same n_stop, same result bytes — even when the shard count does
+        not divide the round size."""
+        request = _request("LLFI", "adaptive")
+        sharded = run_request_sharded(request, 3)
+        assert sharded.to_json() == _local(request)
+        assert sharded.trials < request.trials
 
     def test_single_shard_payload_round_trips(self, built_workloads):
         req = CampaignRequest(workload=WORKLOAD, tool="LLFI",
