@@ -47,8 +47,9 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.fi import (
-    DEFAULT_ROUND_SIZE, CampaignConfig, CampaignResult, InjectorSpec,
-    LLFIInjector, LLFIOptions, PINFIInjector, PINFIOptions,
+    DEFAULT_CHECKPOINT_STRIDE, DEFAULT_ROUND_SIZE, CampaignConfig,
+    CampaignResult, InjectorSpec, LLFIInjector, LLFIOptions, PINFIInjector,
+    PINFIOptions,
 )
 from repro.fi.engine import injector_for_spec
 from repro.fi.fault import list_fault_models
@@ -130,7 +131,8 @@ def experiment_argparser(description: str) -> argparse.ArgumentParser:
                              "e.g. multibit-4). The sweep experiment also "
                              "accepts 'all' or a comma-separated list. "
                              "Part of the results cache key")
-    parser.add_argument("--checkpoint-stride", type=int, default=-1,
+    parser.add_argument("--checkpoint-stride", type=int,
+                        default=DEFAULT_CHECKPOINT_STRIDE,
                         help="golden-run checkpoint stride in instructions; "
                              "0 disables checkpoint resume, negative picks "
                              "~1/20 of the golden run (default; results are "
@@ -218,8 +220,9 @@ def config_from_args(args) -> CampaignConfig:
     return CampaignConfig(trials=args.trials, seed=args.seed,
                           fault_model=getattr(args, "fault_model", "bitflip"),
                           jobs=getattr(args, "jobs", 1),
-                          checkpoint_stride=getattr(args, "checkpoint_stride",
-                                                    -1),
+                          checkpoint_stride=getattr(
+                              args, "checkpoint_stride",
+                              DEFAULT_CHECKPOINT_STRIDE),
                           ci_margin=getattr(args, "ci_margin", 0.0),
                           round_size=getattr(args, "round_size", 0),
                           batch=getattr(args, "batch", 0),

@@ -16,9 +16,9 @@ Typical use::
 
 from repro.fi.base import BaseInjector
 from repro.fi.campaign import (
-    DEFAULT_ROUND_SIZE, CampaignConfig, CampaignResult, StopDecision, Trial,
-    TrialStats, derive_trial_seed, evaluate_stop, plan_rounds, run_campaign,
-    run_grid, trial_stream,
+    DEFAULT_CHECKPOINT_STRIDE, DEFAULT_ROUND_SIZE, CampaignConfig,
+    CampaignResult, StopDecision, Trial, TrialStats, derive_trial_seed,
+    evaluate_stop, plan_rounds, run_campaign, run_grid, trial_stream,
 )
 from repro.fi.categories import CATEGORIES, llfi_candidates, pinfi_candidates
 from repro.fi.engine import (
@@ -42,6 +42,7 @@ __all__ = [
     "CATEGORIES",
     "CampaignConfig",
     "CampaignResult",
+    "DEFAULT_CHECKPOINT_STRIDE",
     "DEFAULT_ROUND_SIZE",
     "StopDecision",
     "Trial",

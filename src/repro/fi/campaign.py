@@ -117,6 +117,12 @@ RESULT_SCHEMA_VERSION = 1
 #: round dispatch are negligible against whole-program injection runs.
 DEFAULT_ROUND_SIZE = 50
 
+#: Checkpoint stride of the experiments CLI and the service's shard
+#: workers when none is given: automatic, ~1/20 of the golden run (see
+#: ``CampaignConfig.checkpoint_stride``).  ``CampaignConfig()`` itself
+#: keeps 0, the scalar path the differential tests compare against.
+DEFAULT_CHECKPOINT_STRIDE = -1
+
 
 @dataclass
 class Trial:

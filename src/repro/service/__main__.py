@@ -85,10 +85,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", default="")
     p.add_argument("--shards", type=int, default=1,
                    help="trial-index shards the job is split into")
-    p.add_argument("--checkpoint-stride", type=int, default=0,
-                   help="worker-side checkpoint policy (accelerator only)")
-    p.add_argument("--batch", type=int, default=0,
-                   help="worker-side batched suffix execution")
+    p.add_argument("--checkpoint-stride", type=int, default=None,
+                   help="worker-side checkpoint policy (accelerator only; "
+                        "default: the workers' automatic stride, 0 runs "
+                        "the scalar path)")
+    p.add_argument("--batch", type=int, default=None,
+                   help="worker-side batched suffix execution (default: "
+                        "off)")
     p.add_argument("--wait", action="store_true",
                    help="poll until the job finishes, then print the "
                         "result")
@@ -116,11 +119,9 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         trials=args.trials, seed=args.seed, fault_model=args.fault_model,
         ci_margin=args.ci_margin, round_size=args.round_size,
         variant=args.variant)
-    accel = {}
-    if args.checkpoint_stride:
-        accel["checkpoint_stride"] = args.checkpoint_stride
-    if args.batch:
-        accel["batch"] = args.batch
+    accel = {knob: getattr(args, knob)
+             for knob in ("checkpoint_stride", "batch")
+             if getattr(args, knob) is not None}
     reply = client.submit(args.url, request, shards=args.shards,
                           accel=accel)
     print(json.dumps(reply))

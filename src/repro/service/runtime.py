@@ -12,7 +12,8 @@ Three layers, all built on the campaign invariants proven in
   campaigns against one SQLite store simulate each golden run exactly
   once.  Checkpoint snapshots are deliberately *not* persisted: they
   reference live IR/machine objects (see :mod:`repro.vm.snapshot`) and
-  are in-process accelerators only.
+  are in-process accelerators only, so a checkpointed worker records
+  them itself, once per injector per process.
 
 * :func:`run_request` — the cache-through entry point: store hit, else
   prime, run through the parallel engine, persist prep + result.
@@ -92,7 +93,9 @@ def prime_injector(injector: BaseInjector, store: CampaignStore,
                    request: CampaignRequest) -> bool:
     """Adopt the request's prep artifact into the injector's memos, if
     the store has one.  Returns True when the injector was primed — its
-    next ``prepare_campaign`` then performs zero whole-program runs."""
+    next ``prepare_campaign`` then runs neither the golden run nor the
+    profiling pass; with checkpoints on, the recording is its only
+    preparation run."""
     payload = store.get_artifact(request.prep_ref())
     if payload is None or payload.get("schema") != PREP_SCHEMA_VERSION:
         return False

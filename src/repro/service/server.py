@@ -2,20 +2,23 @@
 
 ``python -m repro.service serve`` starts two things:
 
-* a **coordinator** thread that drains the store's job queue in FIFO
-  order.  For each job it drives the campaign round barrier
-  (:func:`~repro.fi.campaign.run_rounds`) through the shard executor
-  (:func:`~repro.service.runtime.drive_shards`) — the same loop and
-  merge every local run uses — with the store queue as the place shards
-  run: each round's partitions become store shards, workers claim and
-  finish them, and the coordinator waits for the whole round before the
-  stop decision.  Cancellation and shutdown leave the barrier by
-  exception; a job interrupted by shutdown goes back to ``queued`` for
-  the next coordinator.  Cache hits complete immediately without
-  creating shards.
+* a **coordinator** thread that admits queued jobs oldest first and
+  runs each admitted job's campaign round barrier
+  (:func:`~repro.fi.campaign.run_rounds`, through the shard executor
+  :func:`~repro.service.runtime.drive_shards` — the same loop and merge
+  every local run uses) on a thread of its own, with the store queue as
+  the place shards run: each round's partitions become store shards,
+  workers claim and finish them, and the job's thread waits for the
+  whole round before the stop decision.  The next job is admitted
+  whenever no shard of a running job is pending, so the worker fleet's
+  size sets how many barriers overlap.  Cancellation and shutdown leave
+  a barrier by exception; a job interrupted by shutdown goes back to
+  ``queued`` for the next coordinator.
 
 * a :class:`ThreadingHTTPServer` exposing the JSON API (all bodies and
-  responses are ``application/json``):
+  responses are ``application/json``).  A submission the store already
+  answers never reaches the coordinator: ``POST /submit`` creates its
+  job ``done`` (``cached``, no shards) before replying.
 
   ========================  =====================================
   ``GET  /health``          liveness + store location
@@ -41,8 +44,9 @@ import subprocess
 import sys
 import threading
 import time
+import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import List, Optional
+from typing import List, Optional, Set
 from urllib.parse import parse_qs, urlparse
 
 from repro.errors import FaultInjectionError
@@ -54,11 +58,11 @@ from repro.service.store import SQLiteStore
 #: Accelerator knobs a submission may set on its workers.  Everything
 #: else in CampaignConfig is identity (comes from the request) or
 #: meaningless inside a shard (``jobs`` — a shard is one process's unit
-#: of work).  ``checkpoint_stride`` defaults to 0 in service runs:
-#: checkpoint snapshots are in-process accelerators that cannot be
-#: persisted (see repro/vm/snapshot.py), and a primed worker that
-#: records them would perform a whole-program run the dedup accounting
-#: should not show.
+#: of work).  ``checkpoint_stride`` defaults to the experiments CLI's
+#: automatic stride (see ``repro.service.worker.config_from_accel``);
+#: checkpoint snapshots cannot be persisted (see repro/vm/snapshot.py),
+#: so each worker records its own, one preparation run per injector per
+#: process.  ``checkpoint_stride: 0`` runs the scalar path.
 ACCEL_KNOBS = ("checkpoint_stride", "batch", "decoded_cache", "no_compile")
 
 
@@ -81,8 +85,15 @@ class _CoordinatorStopping(Exception):
 
 
 class Coordinator(threading.Thread):
-    """Drains the job queue: one job at a time, FIFO — jobs share the
-    worker fleet, so interleaving them would only thrash prep caches."""
+    """Admits queued jobs, oldest first, and runs each admitted job's
+    round barrier on a thread of its own.
+
+    A job is admitted whenever no shard of a running job is pending —
+    read from the queue, so the worker fleet's size sets how many
+    barriers overlap: workers never wait on one job's round barrier
+    while another job is queued, and no job is admitted while work is
+    already waiting for a worker.  A job that has not yet put its first
+    round in the queue counts as pending."""
 
     def __init__(self, store: SQLiteStore, poll_s: float = 0.05) -> None:
         super().__init__(daemon=True, name="campaign-coordinator")
@@ -91,33 +102,62 @@ class Coordinator(threading.Thread):
         # Not named _stop: threading.Thread has a private _stop method
         # that join() calls internally.
         self._stopping = threading.Event()
+        #: Barrier threads of the admitted jobs (finished ones are
+        #: dropped at the next admission check).
+        self._barriers: List[threading.Thread] = []
+        #: Admitted jobs whose first round is not in the queue yet.  Only
+        #: this thread adds to it and job threads only remove, so a
+        #: check that finds it empty stays true until the next add.
+        self._entering: Set[int] = set()
 
     def shutdown(self) -> None:
+        """Stop admitting jobs and return once every barrier thread has
+        left its barrier, requeueing its job."""
         self._stopping.set()
-        self.join(timeout=10)
+        self.join(timeout=30)
 
     def run(self) -> None:
-        while not self._stopping.is_set():
-            queued = self.store.jobs(["queued"])
-            if not queued:
+        try:
+            while not self._stopping.is_set():
+                self._admit()
                 self._stopping.wait(self.poll_s)
-                continue
-            self._run_job(queued[0])
+        finally:
+            for thread in self._barriers:
+                thread.join(timeout=30)
+
+    def _admit(self) -> None:
+        """Start the oldest queued job's barrier thread if the fleet has
+        nothing pending."""
+        self._barriers = [t for t in self._barriers if t.is_alive()]
+        if self._entering or self.store.pending_shards():
+            return
+        queued = self.store.jobs(["queued"])
+        if not queued:
+            return
+        job = queued[0]
+        self._entering.add(job["id"])
+        thread = threading.Thread(target=self._run_job, args=(job,),
+                                  daemon=True,
+                                  name=f"campaign-job-{job['id']}")
+        self._barriers.append(thread)
+        thread.start()
 
     # -- one job ------------------------------------------------------------
     def _run_job(self, job: dict) -> None:
+        """One admitted job's barrier, on its own thread.  ``job`` is
+        the row the queue read returned; the job only starts if it is
+        still queued, and ends ``done`` or ``failed`` only if it is still
+        running, so a cancel landing at any point stays cancelled.  Any
+        exception fails this job alone."""
         job_id = job["id"]
         try:
+            if not self.store.set_job_state(job_id, "running"):
+                return
             request = CampaignRequest.from_json(json.loads(job["request"]))
-        except (FaultInjectionError, KeyError, ValueError) as exc:
-            self.store.set_job_state(job_id, "failed", error=str(exc))
-            return
-        cached = self.store.get_result(request)
-        if cached is not None:
-            self.store.set_job_state(job_id, "done", cached=True)
-            return
-        self.store.set_job_state(job_id, "running")
-        try:
+            if self.store.get_result(request) is not None:
+                # An identical job finished after this one was queued.
+                self.store.set_job_state(job_id, "done", cached=True)
+                return
             _, result = drive_shards(
                 request, request.to_config(), job["shards"],
                 lambda round_no, partitions: self._run_round(
@@ -136,6 +176,12 @@ class Coordinator(threading.Thread):
             self.store.requeue_job(job_id)
         except FaultInjectionError as exc:
             self.store.set_job_state(job_id, "failed", error=str(exc))
+        except Exception as exc:  # a bug fails its job, not the service
+            self.store.set_job_state(
+                job_id, "failed", error=f"{type(exc).__name__}: {exc}\n"
+                                        f"{traceback.format_exc(limit=5)}")
+        finally:
+            self._entering.discard(job_id)
 
     def _run_round(self, job_id: int, round_no: int,
                    partitions: List[List[int]]) -> List[dict]:
@@ -146,9 +192,10 @@ class Coordinator(threading.Thread):
         FaultInjectionError when a shard failed (its error is surfaced
         on the job)."""
         self.store.create_shards(job_id, round_no, partitions)
+        self._entering.discard(job_id)
         while not self._stopping.is_set():
             job = self.store.job(job_id)
-            if job is None or job["state"] == "cancelled":
+            if job is None or job["state"] != "running":
                 raise _JobCancelled()
             shards = self.store.shards_for(job_id, round_no)
             failed = [s for s in shards if s["state"] == "failed"]
@@ -291,10 +338,10 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(400, f"unknown accel knobs {unknown}; "
                              f"allowed: {list(ACCEL_KNOBS)}")
             return
-        job_id = self.store.create_job(request, shards, accel)
+        cached = self.store.get_result(request) is not None
+        job_id = self.store.create_job(request, shards, accel, cached=cached)
         self._reply(200, {"job": job_id, "key": request.key(),
-                          "cached": self.store.get_result(request)
-                          is not None})
+                          "cached": cached})
 
     def _fetch(self, query: dict) -> None:
         job = self._job_or_error(query)
@@ -357,6 +404,7 @@ class CampaignServer:
             except subprocess.TimeoutExpired:
                 proc.kill()
         self.httpd.shutdown()
+        self.httpd.server_close()
         self._http_thread.join(timeout=10)
         self.coordinator.shutdown()
         self.store.close()

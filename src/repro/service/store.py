@@ -44,6 +44,10 @@ STORE_SCHEMA_VERSION = 1
 
 #: Job lifecycle: queued -> running -> done | failed | cancelled.
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
+#: The one state :meth:`SQLiteStore.set_job_state` moves a job out of, per
+#: target state.  Cancelling and requeueing have their own methods.
+JOB_TRANSITIONS = {"running": "queued", "done": "running",
+                   "failed": "running"}
 #: Shard lifecycle: pending -> claimed -> done | failed.
 SHARD_STATES = ("pending", "claimed", "done", "failed")
 
@@ -275,15 +279,20 @@ class SQLiteStore(CampaignStore):
 
     # -- job queue -----------------------------------------------------------
     def create_job(self, request: CampaignRequest, shards: int,
-                   accel: Optional[dict] = None) -> int:
+                   accel: Optional[dict] = None,
+                   cached: bool = False) -> int:
+        """Queue a job; a ``cached`` one (the store already holds its
+        result) is created ``done`` instead, with no shards to run."""
+        now = time.time()
         with self._lock, self._conn:
             cur = self._conn.execute(
                 "INSERT INTO jobs(key, request, accel, shards, state, "
-                "submitted) VALUES(?, ?, ?, ?, 'queued', ?)",
+                "cached, submitted, finished) VALUES(?, ?, ?, ?, ?, ?, ?, ?)",
                 (request.key(), json.dumps(request.to_json(),
                                            sort_keys=True),
                  json.dumps(accel or {}, sort_keys=True), shards,
-                 time.time()))
+                 "done" if cached else "queued", int(cached), now,
+                 now if cached else None))
             return int(cur.lastrowid)
 
     def job(self, job_id: int) -> Optional[dict]:
@@ -305,16 +314,23 @@ class SQLiteStore(CampaignStore):
 
     def set_job_state(self, job_id: int, state: str,
                       error: Optional[str] = None,
-                      cached: bool = False) -> None:
-        if state not in JOB_STATES:
-            raise FaultInjectionError(f"unknown job state {state!r}")
-        finished = (time.time()
-                    if state in ("done", "failed", "cancelled") else None)
+                      cached: bool = False) -> bool:
+        """Move a job to ``running`` (only from ``queued``) or to ``done``
+        / ``failed`` (only from ``running``).  Returns False, changing
+        nothing, when the job is not in that state — so a cancel that
+        lands first is never overwritten."""
+        if state not in JOB_TRANSITIONS:
+            raise FaultInjectionError(
+                f"cannot set job state {state!r}; settable: "
+                f"{sorted(JOB_TRANSITIONS)}")
+        finished = time.time() if state != "running" else None
         with self._lock, self._conn:
-            self._conn.execute(
+            cur = self._conn.execute(
                 "UPDATE jobs SET state = ?, error = ?, cached = ?, "
-                "finished = COALESCE(?, finished) WHERE id = ?",
-                (state, error, int(cached), finished, job_id))
+                "finished = ? WHERE id = ? AND state = ?",
+                (state, error, int(cached), finished, job_id,
+                 JOB_TRANSITIONS[state]))
+            return cur.rowcount == 1
 
     def request_cancel(self, job_id: int) -> bool:
         """Cancel a job: drop its pending shards and mark it cancelled
@@ -357,6 +373,14 @@ class SQLiteStore(CampaignStore):
                 "VALUES(?, ?, ?, 'pending', ?)",
                 [(job_id, round_no, shard, json.dumps(indices))
                  for shard, indices in enumerate(partitions)])
+
+    def pending_shards(self) -> int:
+        """Shards of running jobs that no worker has claimed yet."""
+        with self._lock:
+            return self._conn.execute(
+                "SELECT COUNT(*) FROM shards s JOIN jobs j ON j.id = s.job "
+                "WHERE s.state = 'pending' AND j.state = 'running'"
+            ).fetchone()[0]
 
     def claim_shard(self, worker: str) -> Optional[dict]:
         """Atomically claim one pending shard of a running job (lowest

@@ -11,9 +11,12 @@ any process that can open the store file can contribute.
 Prep dedup happens here: :func:`run_shard` primes the worker's injector
 from the store's content-addressed prep artifact when a previous run
 (any campaign over the same workload/tool/options) published one, and
-publishes it after preparing otherwise.  A primed worker performs zero
-whole-program preparation runs — its shard payload reports
-``prep_executions == 0``, which is what the dedup tests assert.
+publishes it after preparing otherwise.  A primed worker never
+re-simulates the golden run.  Workers record golden-run checkpoints at
+the experiments CLI's automatic stride unless the job's ``accel`` says
+otherwise, so a primed worker pays exactly one preparation run per
+injector per process, the checkpoint recording; every later shard of
+that injector reports ``prep_executions == 0``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import time
 import traceback
 from typing import Optional
 
-from repro.fi.campaign import CampaignConfig
+from repro.fi.campaign import DEFAULT_CHECKPOINT_STRIDE, CampaignConfig
 from repro.service.request import CampaignRequest
 from repro.service.runtime import run_shard
 from repro.service.store import SQLiteStore
@@ -33,9 +36,12 @@ from repro.service.store import SQLiteStore
 def config_from_accel(accel: dict) -> CampaignConfig:
     """The worker-side accelerator config of one job (identity fields
     stay at their defaults — :meth:`CampaignRequest.to_config` only
-    reads the accelerator knobs off this)."""
+    reads the accelerator knobs off this).  Checkpoints default to the
+    experiments CLI's automatic stride; ``checkpoint_stride: 0`` asks
+    for the scalar path."""
     return CampaignConfig(
-        checkpoint_stride=int(accel.get("checkpoint_stride", 0)),
+        checkpoint_stride=int(accel.get("checkpoint_stride",
+                                        DEFAULT_CHECKPOINT_STRIDE)),
         batch=int(accel.get("batch", 0)),
         decoded_cache=int(accel.get("decoded_cache", 0)),
         no_compile=bool(accel.get("no_compile", False)))

@@ -5,13 +5,16 @@ The proof is run accounting: the first cell of a (workload, tool) pays
 ``prep_executions > 0`` (golden + profiling); every later cell — even in
 a *fresh process*, simulated by clearing the engine's injector memo —
 adopts the store's prep artifact (``primed``) and pays zero preparation
-runs.  Results stay byte-identical to direct engine runs throughout."""
+runs.  A shard worker, checkpointed by default, pays one: the
+recording.  Results stay byte-identical to direct engine runs
+throughout."""
 
 import pytest
 
 from repro.fi.engine import _INJECTORS, run_parallel_campaign
 from repro.service import CampaignRequest, SQLiteStore
-from repro.service.runtime import run_request
+from repro.service.runtime import run_request, run_shard
+from repro.service.worker import config_from_accel
 
 WORKLOAD = "libquantumm"
 TRIALS = 4
@@ -92,6 +95,30 @@ class TestGoldenRunDedup:
         assert injector.executions >= result.activated
         golden = injector.golden_cached()
         assert golden.completed  # adopted, not re-run
+
+    def test_primed_checkpointed_worker_pays_one_recording(
+            self, store, built_workloads):
+        """Shard workers run at the automatic checkpoint stride unless
+        the job's ``accel`` says otherwise: a primed worker's first shard
+        of an injector pays exactly one preparation run, the recording,
+        and its later shards none; ``checkpoint_stride: 0`` pays none."""
+        run_request(_req("cmp"), store)  # publishes the prep artifact
+        _INJECTORS.clear()
+        request = _req("all")
+        first = run_shard(request, [0, 1], store=store,
+                          config=config_from_accel({}))
+        assert first["primed"] and first["prep_executions"] == 1
+        later = run_shard(request, [2, 3], store=store,
+                          config=config_from_accel({}))
+        assert later["prep_executions"] == 0
+
+        _INJECTORS.clear()
+        scalar = run_shard(request, [0, 1], store=store,
+                           config=config_from_accel({"checkpoint_stride": 0}))
+        assert scalar["primed"] and scalar["prep_executions"] == 0
+        # Checkpointed shards list slots in bucket order, not index order.
+        assert scalar["slots"] == sorted(first["slots"],
+                                         key=lambda slot: slot["index"])
 
     def test_prep_artifact_is_shared_not_duplicated(self, store,
                                                     built_workloads):

@@ -2,17 +2,25 @@
 frontend + coordinator thread + two spawned worker processes) over one
 SQLite store.  The headline assertion is the acceptance criterion of the
 service: a sharded job's fetched result is byte-identical to a direct
-local run, for both tools, with resubmissions served from cache."""
+local run, for both tools, with resubmissions served from cache.
+``TestFrontend`` drives the HTTP frontend with the coordinator stopped:
+cache hits, the submit CLI's ``accel`` and socket cleanup need no
+coordinator."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.fi.campaign import CampaignResult
 from repro.fi.engine import run_parallel_campaign
 from repro.service import CampaignRequest, SQLiteStore
+from repro.service.__main__ import main as service_main
 from repro.service.client import (
     ServiceError, cancel, fetch, health, jobs, poll, submit, wait,
 )
@@ -176,3 +184,63 @@ class TestCoordinatorShutdown:
                 second.shutdown()
             assert not second.is_alive()
             assert store.get_result(request).to_json() == _local(request)
+
+
+@pytest.fixture
+def frontend(tmp_path):
+    """A server whose coordinator is stopped: only the HTTP frontend
+    acts on submissions."""
+    with CampaignServer(str(tmp_path / "frontend.db")) as srv:
+        srv.coordinator.shutdown()
+        assert not srv.coordinator.is_alive()
+        yield srv
+
+
+class TestFrontend:
+    def test_cached_submit_is_done_on_reply(self, frontend,
+                                            built_workloads):
+        request = _req("LLFI")
+        local = _local(request)
+        frontend.store.put_result(request, CampaignResult.from_json(local))
+        reply = submit(frontend.address, request, shards=2)
+        assert reply["cached"]
+        job = poll(frontend.address, reply["job"])
+        assert job["state"] == "done" and job["cached"]
+        assert job["shard_progress"]["total"] == 0
+        assert fetch(frontend.address, reply["job"]).to_json() == local
+
+    @pytest.mark.parametrize("flags, accel", [
+        ([], {}),
+        (["--checkpoint-stride", "0"], {"checkpoint_stride": 0}),
+        (["--batch", "0"], {"batch": 0}),
+        (["--checkpoint-stride", "97", "--batch", "4"],
+         {"checkpoint_stride": 97, "batch": 4}),
+    ], ids=["none", "stride-0", "batch-0", "both"])
+    def test_submit_cli_forwards_given_knobs(self, frontend, capsys,
+                                             flags, accel):
+        assert service_main(
+            ["submit", "--url", frontend.address, "--workload", WORKLOAD,
+             "--tool", "LLFI", "--category", "all", "--trials", "6"]
+            + flags) == 0
+        job_id = json.loads(capsys.readouterr().out)["job"]
+        assert json.loads(frontend.store.job(job_id)["accel"]) == accel
+
+    def test_stop_closes_the_listening_socket(self, tmp_path):
+        srv = CampaignServer(str(tmp_path / "s.db")).start()
+        srv.stop()
+        assert srv.httpd.socket.fileno() == -1
+        # Nothing else is left for the garbage collector to warn about.
+        script = (
+            "import gc, sys\n"
+            "from repro.service.server import CampaignServer\n"
+            "def cycle():\n"
+            "    CampaignServer(sys.argv[1]).start().stop()\n"
+            "cycle()\n"
+            "gc.collect()\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+             "-c", script, str(tmp_path / "again.db")],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert "ResourceWarning" not in proc.stderr, proc.stderr

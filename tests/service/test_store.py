@@ -8,6 +8,7 @@ import threading
 
 import pytest
 
+from repro.errors import FaultInjectionError
 from repro.fi import CampaignConfig
 from repro.fi.campaign import CampaignResult
 from repro.service import (
@@ -130,10 +131,64 @@ class TestSQLiteStore:
     def test_cancel_after_done_is_a_noop(self, tmp_path):
         with SQLiteStore(str(tmp_path / "s.db")) as store:
             job_id = store.create_job(REQ, shards=1)
+            store.set_job_state(job_id, "running")
             store.set_job_state(job_id, "done")
             assert store.request_cancel(job_id)
             assert store.job(job_id)["state"] == "done"
             assert not store.request_cancel(9999)
+
+    def test_job_transitions_are_conditional(self, tmp_path):
+        """running only from queued, done/failed only from running: a
+        transition from any other state changes nothing."""
+        with SQLiteStore(str(tmp_path / "s.db")) as store:
+            job_id = store.create_job(REQ, shards=1)
+            assert not store.set_job_state(job_id, "done")
+            assert not store.set_job_state(job_id, "failed", error="x")
+            assert store.job(job_id)["state"] == "queued"
+            assert store.set_job_state(job_id, "running")
+            assert not store.set_job_state(job_id, "running")
+            assert store.set_job_state(job_id, "done")
+            assert not store.set_job_state(job_id, "failed", error="x")
+            job = store.job(job_id)
+            assert job["state"] == "done" and job["error"] is None
+            assert job["finished"] is not None
+
+            cancelled = store.create_job(REQ, shards=1)
+            assert store.request_cancel(cancelled)
+            assert not store.set_job_state(cancelled, "running")
+            assert store.job(cancelled)["state"] == "cancelled"
+
+            running = store.create_job(REQ, shards=1)
+            store.set_job_state(running, "running")
+            assert store.request_cancel(running)
+            assert not store.set_job_state(running, "done")
+            assert store.job(running)["state"] == "cancelled"
+
+            for state in ("queued", "cancelled", "bogus"):
+                with pytest.raises(FaultInjectionError):
+                    store.set_job_state(job_id, state)
+
+    def test_cached_job_is_created_done(self, tmp_path):
+        with SQLiteStore(str(tmp_path / "s.db")) as store:
+            job_id = store.create_job(REQ, shards=2, cached=True)
+            job = store.job(job_id)
+            assert job["state"] == "done" and job["cached"] == 1
+            assert job["finished"] == job["submitted"]
+            assert store.shards_for(job_id) == []
+
+    def test_pending_shards_counts_running_jobs_only(self, tmp_path):
+        with SQLiteStore(str(tmp_path / "s.db")) as store:
+            queued = store.create_job(REQ, shards=2)
+            store.create_shards(queued, 0, [[0], [1]])
+            assert store.pending_shards() == 0
+            running = store.create_job(REQ, shards=3)
+            store.set_job_state(running, "running")
+            store.create_shards(running, 0, [[0], [1], [2]])
+            assert store.pending_shards() == 3
+            store.claim_shard("w1")
+            assert store.pending_shards() == 2
+            store.request_cancel(running)
+            assert store.pending_shards() == 0
 
     def test_concurrent_claims_never_duplicate(self, tmp_path):
         """N threads hammering claim_shard get each shard exactly once."""
