@@ -14,5 +14,5 @@ Unified entrypoint (see :mod:`repro.experiments.cli`)::
     python -m repro.experiments run <target>   # table1|table2|table4|
                                                # table5|fig3|fig4|ablation|all
 
-``python -m repro.experiments.<target>`` still works as a deprecation shim.
+It is the only entrypoint; the per-target modules have no ``__main__``.
 """

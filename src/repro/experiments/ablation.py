@@ -127,9 +127,3 @@ def main(argv=None) -> None:
     print()
     print(generate_heuristic_ablation(flag_benchmarks, config, store,
                                       xmm_benchmarks=xmm_benchmarks))
-
-
-if __name__ == "__main__":
-    from repro.experiments.cli import warn_deprecated_entrypoint
-    warn_deprecated_entrypoint("ablation")
-    main()

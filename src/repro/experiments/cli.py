@@ -10,8 +10,8 @@ forwards the remaining arguments to the target's own ``main`` (they all
 share the argparser from :func:`repro.experiments.common
 .experiment_argparser`, so ``--trials/--seed/--jobs/--benchmarks/
 --checkpoint-stride/--results-dir/--trace/--trace-dir`` mean the same
-thing everywhere).  The old ``python -m repro.experiments.<target>``
-entrypoints still work as thin deprecation shims around the same mains.
+thing everywhere).  It is the only entrypoint: the experiment modules
+themselves are libraries.
 """
 
 from __future__ import annotations
@@ -38,13 +38,6 @@ _TARGET_MODULES = {
 def _target_main(target: str) -> Callable[[Optional[List[str]]], None]:
     import importlib
     return importlib.import_module(_TARGET_MODULES[target]).main
-
-
-def warn_deprecated_entrypoint(target: str) -> None:
-    """Printed by the old ``python -m repro.experiments.<target>`` shims."""
-    print(f"note: 'python -m {_TARGET_MODULES[target]}' is deprecated; "
-          f"use 'python -m repro.experiments run {target}'",
-          file=sys.stderr)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

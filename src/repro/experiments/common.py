@@ -19,10 +19,9 @@ resumed from a golden checkpoint are bit-identical to cold-start trials
 (the differential tests in ``tests/fi/test_checkpoint.py`` prove it), so
 the stride is a pure accelerator and must never enter the cache key —
 cached results stay valid whatever stride produced them.  ``--batch``
-(batched suffix execution, see ``repro.vm.batch``) and
-``--decoded-cache`` (snapshot LRU sizing) are accelerators of the same
-kind — batched lanes are bit-identical to scalar trials
-(``tests/fi/test_batch_campaign.py``) — and are likewise excluded, as is
+(batched suffix execution, see ``repro.vm.batch``) is an accelerator of
+the same kind — batched lanes are bit-identical to scalar trials
+(``tests/fi/test_batch_campaign.py``) — and is likewise excluded, as is
 ``--no-compile`` (block-compiled execution, see ``repro.vm.blockcache``:
 compiled runs are bit-identical to the scalar loop by construction,
 ``tests/vm/test_blockcompile.py``).
@@ -154,10 +153,6 @@ def experiment_argparser(description: str) -> argparse.ArgumentParser:
                              "shared sweep (0 disables, negative picks the "
                              "default lane count; results are identical "
                              "for any value)")
-    parser.add_argument("--decoded-cache", type=int, default=0,
-                        help="decoded-snapshot LRU capacity of the "
-                             "checkpoint store (0 picks the default; "
-                             "sizing only, never affects results)")
     parser.add_argument("--no-compile", action="store_true",
                         help="disable block-compiled execution and run "
                              "every engine on the scalar per-instruction "
@@ -226,7 +221,6 @@ def config_from_args(args) -> CampaignConfig:
                           ci_margin=getattr(args, "ci_margin", 0.0),
                           round_size=getattr(args, "round_size", 0),
                           batch=getattr(args, "batch", 0),
-                          decoded_cache=getattr(args, "decoded_cache", 0),
                           no_compile=getattr(args, "no_compile", False),
                           trace=getattr(args, "trace", False),
                           trace_dir=trace_dir_from_args(args))

@@ -65,9 +65,3 @@ def main(argv=None) -> None:
     args = experiment_argparser(__doc__ or "fig4").parse_args(argv)
     print(generate(selected_benchmarks(args), config_from_args(args),
                    store_from_args(args)))
-
-
-if __name__ == "__main__":
-    from repro.experiments.cli import warn_deprecated_entrypoint
-    warn_deprecated_entrypoint("fig4")
-    main()

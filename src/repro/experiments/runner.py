@@ -1,7 +1,7 @@
 """Top-level experiment runner: regenerates every table and figure.
 
-    python -m repro.experiments.runner --trials 150
-    python -m repro.experiments.runner --trials 1000 --jobs 8   # paper scale
+    python -m repro.experiments run all --trials 150
+    python -m repro.experiments run all --trials 1000 --jobs 8   # paper scale
 
 Campaigns fan out over ``--jobs`` worker processes (default: one per CPU);
 per-trial RNG streams make the results identical for any job count.
@@ -69,7 +69,3 @@ def main(argv=None) -> None:
         f.write(report)
     print(report)
     print(f"(written to {path})")
-
-
-if __name__ == "__main__":
-    main()

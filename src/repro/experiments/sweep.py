@@ -156,9 +156,3 @@ def main(argv=None) -> None:
     with open(path, "w") as f:
         f.write(report)
     print(f"[sweep report written to {path}]")
-
-
-if __name__ == "__main__":
-    from repro.experiments.cli import warn_deprecated_entrypoint
-    warn_deprecated_entrypoint("sweep")
-    main()

@@ -20,9 +20,3 @@ def generate() -> str:
 def main(argv=None) -> None:
     del argv  # no options
     print(generate())
-
-
-if __name__ == "__main__":
-    from repro.experiments.cli import warn_deprecated_entrypoint
-    warn_deprecated_entrypoint("table2")
-    main()

@@ -56,9 +56,3 @@ def generate(benchmarks) -> str:
 def main(argv=None) -> None:
     args = experiment_argparser(__doc__ or "table4").parse_args(argv)
     print(generate(selected_benchmarks(args)))
-
-
-if __name__ == "__main__":
-    from repro.experiments.cli import warn_deprecated_entrypoint
-    warn_deprecated_entrypoint("table4")
-    main()

@@ -1,24 +1,36 @@
-"""BaseInjector: the shared injector surface and memoization.
+"""BaseInjector: the injection procedure both tools share.
 
 Both fault injectors — LLFI over the IR interpreter and PINFI over the
 SimX86 simulator — follow the paper's three-step workflow (select,
-profile, inject) and share everything that is not engine-specific:
+profile, inject).  They differ only in *where* the bit flips: an IR
+result for LLFI, an x86 destination register or flag for PINFI.  Every
+other step is defined once, here:
 
 * the memoised **golden run** (``golden_cached``) and **per-category
   profiling pass** (``dynamic_counts``), so a grid of campaigns performs
-  one of each per injector instead of one per (tool, category) cell;
+  one of each per injector instead of one per (tool, category) cell, and
+  the per-instruction reference count (``count_dynamic_candidates``);
 * the **checkpoint policy** (``configure_checkpoints`` /
   ``ensure_checkpoints``): the recording run doubles as golden + profiling
   pass and its :class:`~repro.vm.snapshot.CheckpointStore` lets every
   injection run skip its fault-free prefix;
+* the **injection run** (``_inject``: build the engine, resume from a
+  checkpoint, run, account) and the **batched first attempts**
+  (``run_batch``: one shared sweep, copy-on-write lanes, see
+  :mod:`repro.vm.batch`);
+* the **trigger** of an injection hook (:class:`InjectionHook`: fire at
+  the k-th dynamic candidate, ``repeat`` times, compiled-span safety);
 * **run accounting** (``executions``, ``instructions_simulated``,
   ``ckpt_restores``, ``ckpt_instructions_skipped``), mirrored into the
   active :mod:`repro.obs` recorder.
 
-Subclasses provide the engine plumbing: :meth:`_engine` (a fresh IR
-interpreter or SimX86 simulator with a hook installed), the per-category
-candidate id sets and :meth:`run_with_fault` (one injection run).
-Campaign, engine and experiment code type against this ABC only.
+Subclasses provide what the paper says differs: candidate selection (the
+per-category id sets, built in their constructor), :meth:`_engine` (a
+fresh IR interpreter or SimX86 simulator with a hook installed),
+:meth:`_injection_hook` (their :class:`InjectionHook` subclass, whose
+engine callback corrupts the tool's target) and a one-line
+:meth:`run_with_fault`.  Campaign, engine and experiment code type
+against this ABC only.
 """
 
 from __future__ import annotations
@@ -27,11 +39,12 @@ import random
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from repro.errors import FaultInjectionError
-from repro.fi.fault import FaultModel, FaultRecord
+from repro.fi.fault import FaultModel, FaultRecord, SingleBitFlip
 from repro.obs import get_recorder
+from repro.vm import batch as vm_batch
 from repro.vm.asmsim import AsmHook
 from repro.vm.batch import BatchStats
 from repro.vm.irinterp import InterpHook
@@ -83,7 +96,7 @@ class CandidateCounter(InterpHook, AsmHook):
     capture, or after a completed run, equals what a per-instruction
     counter would have seen there."""
 
-    def __init__(self, candidate_ids: Dict[str, Set[int]]) -> None:
+    def __init__(self, candidate_ids: Dict[str, FrozenSet[int]]) -> None:
         self.candidate_ids = candidate_ids
         #: Hook filter: every candidate of any category.
         self.filter = frozenset().union(*candidate_ids.values())
@@ -126,6 +139,103 @@ class CandidateCounter(InterpHook, AsmHook):
         return totals
 
 
+class _CountingHook(InterpHook, AsmHook):
+    """One category's dynamic candidate count, one hook call per candidate
+    (:meth:`BaseInjector.count_dynamic_candidates`, the per-instruction
+    reference for the shared :class:`CandidateCounter`)."""
+
+    observer = True  # mutates only its own counter: any span is safe
+
+    def __init__(self, candidate_ids: FrozenSet[int]) -> None:
+        self.candidate_ids = candidate_ids
+        self.count = 0
+
+    def on_result(self, inst, value, interp):
+        if id(inst) in self.candidate_ids:
+            self.count += 1
+        return value
+
+    def on_executed(self, inst, sim) -> None:
+        if id(inst) in self.candidate_ids:
+            self.count += 1
+
+
+class InjectionHook(InterpHook, AsmHook):
+    """Runtime fault injection at the k-th dynamic candidate instance: the
+    trigger both tools share.
+
+    A tool's subclass keeps the per-candidate check inline in its engine
+    callback (``on_result`` for LLFI, ``on_executed`` for PINFI): skip
+    non-candidates, count, and return until ``count`` reaches ``k`` with
+    ``fires_left``; only then call :meth:`_fire` and corrupt the tool's
+    own target.  Models with ``repeat > 1`` (intermittent) fire again at
+    the following ``repeat - 1`` instances; ``kind == "memory"`` models
+    corrupt the cell the candidate just read (:meth:`_corrupt_cell`)
+    instead of its destination.  A firing whose corruption is a
+    bit-level no-op (stuck-at on an already-matching bit) records the
+    attempt but plants no poison, so the run equals the golden run and is
+    classified NOT_ACTIVATED — the RNG draw happened regardless, keeping
+    the trial stream independent of activation."""
+
+    def __init__(self, candidate_ids: FrozenSet[int], k: int,
+                 model: FaultModel, rng: random.Random) -> None:
+        self.candidate_ids = candidate_ids
+        self.k = k
+        self.model = model
+        self.rng = rng
+        #: Dynamic candidate instances retired so far (a checkpoint or
+        #: fork restore starts it at the count of its boundary).
+        self.count = 0
+        self.fires_left = model.repeat
+        self.memory_fault = model.kind == "memory"
+        self.record: Optional[FaultRecord] = None
+
+    def compiled_span_ok(self, ncand: int) -> bool:
+        # Safe while the block's candidates cannot reach the trigger
+        # index: every firing (and the poison it plants, which must be
+        # tracked scalar) can only land on a fallback block.  Mid-burst
+        # (intermittent) the window is open, so nothing is safe.
+        return (self.fires_left == self.model.repeat
+                and self.count + ncand < self.k)
+
+    def _fire(self) -> None:
+        """Book one firing.  After the last (for transients: the only)
+        one the hook never acts again, so the suffix may run
+        block-compiled."""
+        self.fires_left -= 1
+        if self.fires_left == 0:
+            self.finished = True
+
+    def _note(self, positions, target: str, width: int) -> None:
+        """Record the first firing (intermittent re-firings corrupt but
+        keep the first record)."""
+        if self.record is None:
+            self.record = FaultRecord(dynamic_index=self.k,
+                                      bit_positions=positions,
+                                      target=target, width=width)
+
+    def _corrupt_cell(self, memory, cell: Optional[Tuple[int, int]],
+                      label: str) -> None:
+        """memflip: corrupt in place the ``(address, bytes)`` memory cell
+        the firing candidate just read.  The candidate's value stays
+        pristine and no poison is planted — activation is judged by
+        outcome divergence (see MemoryBitFlip).  A candidate that read
+        no memory (``cell`` None) is an automatic not-activated redraw
+        with no RNG draw, which is fine: consumption is still a function
+        of the golden instruction stream, identical across job counts."""
+        if cell is None:
+            self._note([], f"{label} (no memory read)", 0)
+            return
+        addr, nbytes = cell
+        width = nbytes * 8
+        positions = self.model.pick_bits(width, self.rng)
+        bits = memory.read_int(addr, nbytes, signed=False)
+        new = self.model.apply(bits, positions, width)
+        if new != bits:
+            memory.write_int(addr, nbytes, new)
+        self._note(positions, f"{label} @0x{addr:x}", width)
+
+
 class BaseInjector(ABC):
     """Common machinery of the LLFI and PINFI injectors."""
 
@@ -148,8 +258,6 @@ class BaseInjector(ABC):
         #: Requested checkpoint stride: 0 = off, <0 = auto (~N/20 of the
         #: golden instruction count), >0 = explicit instruction stride.
         self.checkpoint_request = 0
-        #: Requested decoded-snapshot LRU capacity (0 = default).
-        self.decoded_cache_request = 0
         #: Batched-execution accounting: sweeps run, shared (sweep)
         #: instructions, forked lanes, detached lanes.
         self.batch_sweeps = 0
@@ -166,9 +274,14 @@ class BaseInjector(ABC):
         #: Workload registry name, when built from an ``InjectorSpec``.
         self.workload_name: Optional[str] = None
         self._checkpoints: Optional[CheckpointStore] = None
-        self._checkpoints_request: Tuple[int, int] = (0, 0)
+        self._checkpoints_request = 0
         self._golden_result: Optional[ExecutionResult] = None
         self._dynamic_counts: Optional[Dict[str, int]] = None
+        #: Lazily built batch-execution template: a never-run engine whose
+        #: shared tables every sweep and lane reuses, and its pristine
+        #: cold-start memory image (see run_batch).
+        self._template = None
+        self._pristine = None
 
     @property
     def tool_name(self) -> str:
@@ -176,8 +289,8 @@ class BaseInjector(ABC):
         return self.name
 
     #: Category -> ids of its static candidate instructions (set by the
-    #: subclass constructor).
-    _candidate_ids: Dict[str, Set[int]]
+    #: subclass constructor: the tool's selection step).
+    _candidate_ids: Dict[str, FrozenSet[int]]
 
     # -- engine plumbing (subclass responsibility) ---------------------------
     @abstractmethod
@@ -185,6 +298,30 @@ class BaseInjector(ABC):
                 **kwargs):
         """A fresh engine over this injector's program with ``hook``
         installed; ``kwargs`` go to the engine constructor."""
+
+    @abstractmethod
+    def _injection_hook(self, category: str, k: int, model: FaultModel,
+                        rng: random.Random) -> InjectionHook:
+        """The tool's injection hook for dynamic instance ``k`` of
+        ``category``."""
+
+    @abstractmethod
+    def run_with_fault(self, category: str, k: int, rng: random.Random,
+                       model: Optional[FaultModel] = None,
+                       max_instructions: Optional[int] = None,
+                       ) -> Tuple[ExecutionResult, Optional[FaultRecord], bool]:
+        """One injection run at dynamic instance ``k`` under ``model``
+        (default: the paper's single bit flip; see the registry in
+        :mod:`repro.fi.fault` for the other models); returns
+        (result, fault record, activated?).  Each tool defines it as a
+        call to :meth:`_inject`.  Models must be stateless — one
+        instance serves every trial slot — and their RNG consumption
+        per firing must depend only on (model, target width), never on
+        the value being corrupted, or jobs=1 ≡ jobs=N breaks."""
+
+    def static_candidate_count(self, category: str) -> int:
+        """Number of static injection candidates for a category."""
+        return len(self._candidate_ids[category])
 
     def _execute(self, hook, max_instructions: int, hook_filter=None,
                  **kwargs) -> ExecutionResult:
@@ -211,22 +348,33 @@ class BaseInjector(ABC):
                                **kwargs)
         return result, counter.counts()
 
-    @abstractmethod
-    def static_candidate_count(self, category: str) -> int:
-        """Number of static injection candidates for a category."""
+    # -- injection -----------------------------------------------------------
+    def _inject(self, category: str, k: int, rng: random.Random,
+                model: Optional[FaultModel],
+                max_instructions: Optional[int],
+                ) -> Tuple[ExecutionResult, Optional[FaultRecord], bool]:
+        """One injection run (the body of both tools' ``run_with_fault``).
 
-    @abstractmethod
-    def run_with_fault(self, category: str, k: int, rng: random.Random,
-                       model: Optional[FaultModel] = None,
-                       max_instructions: Optional[int] = None,
-                       ) -> Tuple[ExecutionResult, Optional[FaultRecord], bool]:
-        """One injection run at dynamic instance ``k`` under ``model``
-        (default: the paper's single bit flip; see the registry in
-        :mod:`repro.fi.fault` for the other models); returns
-        (result, fault record, activated?).  Models must be stateless —
-        one instance serves every trial slot — and their RNG consumption
-        per firing must depend only on (model, target width), never on
-        the value being corrupted, or jobs=1 ≡ jobs=N breaks."""
+        With checkpoints enabled the run resumes from the last golden
+        checkpoint before the k-th dynamic candidate; the fault-free
+        prefix is provably bit-identical to the golden run, so the
+        resumed trial matches a cold-start trial exactly (the RNG is only
+        consumed at the injection point, and the hook resumes counting
+        from the checkpoint's candidate count)."""
+        hook = self._injection_hook(category, k, model or SingleBitFlip(),
+                                    rng)
+        engine = self._engine(
+            hook, max_instructions or self.default_max_instructions,
+            hook_filter=hook.candidate_ids)
+        skipped = self._resume_from_checkpoint(engine, hook, category, k)
+        result = engine.run()
+        self._absorb_compile(engine)
+        self._account_run(result, skipped)
+        if hook.record is None:
+            raise FaultInjectionError(
+                f"dynamic instance {k} was never reached "
+                f"(program behaviour diverged before injection?)")
+        return result, hook.record, engine.fault_activated
 
     # -- compiled execution --------------------------------------------------
     def _compile_subject(self):
@@ -308,6 +456,16 @@ class BaseInjector(ABC):
             rec.incr(f"injector.{self.name}.batch_lanes")
 
     # -- batched execution ---------------------------------------------------
+    def _batch_template(self):
+        """Never-run engine providing the tables every sweep and lane
+        shares (global addresses, function records, poison metadata),
+        with its pristine cold-start memory image in ``_pristine``."""
+        if self._template is None:
+            engine = self._engine(None, self.default_max_instructions)
+            self._template = engine
+            self._pristine = vm_batch.pristine_image_of(engine)
+        return self._template
+
     def _scalar_first(self, category: str, request: BatchRequest,
                       model: Optional[FaultModel],
                       max_instructions: Optional[int]) -> FirstAttempt:
@@ -332,17 +490,45 @@ class BaseInjector(ABC):
                   model: Optional[FaultModel] = None,
                   max_instructions: Optional[int] = None,
                   ) -> Tuple[Dict[int, FirstAttempt], BatchStats]:
-        """Run one (category, checkpoint-bucket) group's first attempts.
+        """Run one (category, checkpoint-bucket) group's first attempts as
+        a shared sweep + COW forks (:mod:`repro.vm.batch`).  Lanes whose
+        k retires between instruction boundaries (IR phi batches and
+        pending-call results) detach to the scalar path."""
+        model = model or SingleBitFlip()
+        budget = max_instructions or self.default_max_instructions
+        store = self.ensure_checkpoints()
+        checkpoint = images = None
+        base_count = 0
+        if store is not None:
+            checkpoint = store.best_for(category, requests[0].k)
+            if checkpoint is not None:
+                images = store.decoded_memory(checkpoint)
+                base_count = checkpoint.counts[category]
+        template = self._batch_template()
+        lane_runs, detached, stats = vm_batch.run_batch(
+            template, requests,
+            candidate_ids=self._candidate_ids[category],
+            hook_for=lambda r: self._injection_hook(category, r.k, model,
+                                                    r.rng),
+            budget=budget, pristine=self._pristine, checkpoint=checkpoint,
+            decoded_images=images, base_count=base_count,
+            compile_blocks=self.compile_enabled)
 
-        Engine-specific subclasses fork the lanes from a shared sweep
-        (:mod:`repro.vm.batch`); this base implementation is the fully
-        detached case — every lane runs the scalar path — so batching is
-        safe on any injector."""
-        firsts = {r.index: self._scalar_first(category, r, model,
-                                              max_instructions)
-                  for r in requests}
-        self.batch_detached += len(requests)
-        stats = BatchStats(lanes=len(requests), detached=len(requests))
+        self._account_batch_sweep(stats.shared_instructions)
+        firsts = {}
+        for run in lane_runs:
+            self._absorb_compile(run.machine)
+            self._account_batch_lane(run.result, run.fork_executed)
+            firsts[run.request.index] = FirstAttempt(
+                k=run.request.k, result=run.result, record=run.hook.record,
+                activated=run.machine.fault_activated,
+                instructions=run.result.instructions - run.fork_executed,
+                restores=1 if run.fork_executed else 0,
+                skipped=run.fork_executed, wall_s=run.wall_s)
+        self.batch_detached += len(detached)
+        for request in detached:
+            firsts[request.index] = self._scalar_first(category, request,
+                                                       model, budget)
         stats.lane_instructions = sum(f.instructions
                                       for f in firsts.values())
         return firsts, stats
@@ -382,27 +568,43 @@ class BaseInjector(ABC):
             self._dynamic_counts = self.count_all_categories()
         return self._dynamic_counts
 
+    def _account_prep(self, result: ExecutionResult, what: str) -> None:
+        """Book one preparation run, which must complete."""
+        self._account_run(result)
+        if not result.completed:
+            raise FaultInjectionError(
+                f"{what} run did not complete: {result.status}")
+
     def count_all_categories(self, max_instructions: Optional[int] = None
                              ) -> Dict[str, int]:
         """Dynamic candidate counts for every category in one run
         (each tool's side of the paper's Table IV)."""
         result, counts = self._counted_run(
             max_instructions or self.default_max_instructions)
-        self._account_run(result)
-        if not result.completed:
-            raise FaultInjectionError(
-                f"profiling run did not complete: {result.status}")
+        self._account_prep(result, "profiling")
         return counts
 
+    def count_dynamic_candidates(self, category: str,
+                                 max_instructions: Optional[int] = None
+                                 ) -> int:
+        """Profiling run: N, the dynamic candidate-instance count of one
+        category, with one hook call per candidate (the reference the
+        segment-counting :meth:`count_all_categories` is tested
+        against)."""
+        ids = self._candidate_ids[category]
+        hook = _CountingHook(ids)
+        result = self._execute(
+            hook, max_instructions or self.default_max_instructions,
+            hook_filter=ids)
+        self._account_prep(result, "profiling")
+        return hook.count
+
     # -- checkpoints ---------------------------------------------------------
-    def configure_checkpoints(self, stride: int,
-                              decoded_cache: int = 0) -> None:
+    def configure_checkpoints(self, stride: int) -> None:
         """Set the checkpoint policy: 0 disables resume-from-checkpoint,
         <0 picks a stride of ~1/20 of the golden instruction count, >0 is
-        an explicit instruction stride.  ``decoded_cache`` sizes the
-        store's decoded-snapshot LRU (0 = default)."""
+        an explicit instruction stride."""
         self.checkpoint_request = stride
-        self.decoded_cache_request = decoded_cache
 
     def ensure_checkpoints(self, max_instructions: Optional[int] = None
                            ) -> Optional[CheckpointStore]:
@@ -416,22 +618,19 @@ class BaseInjector(ABC):
         checkpoint lands on the first compiled-segment boundary at or past
         its stride mark.
         """
-        request = (self.checkpoint_request, self.decoded_cache_request)
-        if request[0] == 0:
+        request = self.checkpoint_request
+        if request == 0:
             return None
         if self._checkpoints is not None \
                 and self._checkpoints_request == request:
             return self._checkpoints
-        stride = request[0]
+        stride = request
         if stride < 0:
             stride = max(1, self.golden_cached().instructions // 20)
-        store = CheckpointStore(stride, decoded_cache=request[1])
+        store = CheckpointStore(stride)
         result, counts = self._counted_run(
             max_instructions or self.default_max_instructions, store)
-        self._account_run(result)
-        if not result.completed:
-            raise FaultInjectionError(
-                f"checkpoint recording run did not complete: {result.status}")
+        self._account_prep(result, "checkpoint recording")
         if self._golden_result is None:
             self._golden_result = result
         if self._dynamic_counts is None:

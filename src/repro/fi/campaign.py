@@ -283,10 +283,6 @@ class CampaignConfig:
     #: results are independent of this value and it is **not** part of
     #: the results cache key.
     batch: int = 0
-    #: Decoded-snapshot LRU capacity of the checkpoint store (0 = the
-    #: default, :data:`repro.vm.snapshot.DECODED_CACHE_SNAPSHOTS`).
-    #: Accelerator sizing only — never part of the cache key.
-    decoded_cache: int = 0
     #: Escape hatch for block-compiled execution
     #: (:mod:`repro.vm.blockcache`): True forces every engine run —
     #: checkpoint recording included — onto the scalar per-instruction
@@ -372,8 +368,7 @@ def prepare_campaign(injector: BaseInjector, category: str,
     repeated campaigns over the same injector (different categories,
     seeds or trial counts) re-use one golden run and one profiling pass."""
     injector.compile_enabled = not config.no_compile
-    injector.configure_checkpoints(config.checkpoint_stride,
-                                   config.decoded_cache)
+    injector.configure_checkpoints(config.checkpoint_stride)
     # With an explicit stride the recording run doubles as the golden run
     # and the profiling pass, so this adds no whole-program executions.
     injector.ensure_checkpoints()
@@ -573,6 +568,24 @@ def slot_checkpoint_bucket(injector: BaseInjector, category: str,
     return -1 if i is None else i
 
 
+def _buckets(injector: BaseInjector, category: str, setup: CampaignSetup,
+             config: CampaignConfig, round_no: int, indices: Iterable[int],
+             ) -> Tuple[List[Tuple[int, List[int]]], List[dict]]:
+    """``(checkpoint bucket, slot indices)`` pairs in schedule order —
+    cold starts (-1) first, then ascending checkpoint index, ascending
+    slot index within a bucket — plus one manifest ``bucket`` record per
+    non-empty bucket."""
+    buckets: Dict[int, List[int]] = {}
+    for index in indices:
+        bucket = slot_checkpoint_bucket(injector, category, setup, config,
+                                        index)
+        buckets.setdefault(bucket, []).append(index)
+    ordered = sorted(buckets.items())
+    records = [{"round": round_no, "checkpoint": bucket,
+                "slots": len(slots)} for bucket, slots in ordered]
+    return ordered, records
+
+
 def order_round(injector: BaseInjector, category: str, setup: CampaignSetup,
                 config: CampaignConfig, round_no: int,
                 indices: Iterable[int]) -> Tuple[List[int], List[dict]]:
@@ -585,19 +598,9 @@ def order_round(injector: BaseInjector, category: str, setup: CampaignSetup,
     fully deterministic) plus one manifest ``bucket`` record per
     non-empty bucket.  Restores within a bucket then hit one shared
     decoded snapshot image instead of expanding it per trial."""
-    buckets: Dict[int, List[int]] = {}
-    for index in indices:
-        bucket = slot_checkpoint_bucket(injector, category, setup, config,
-                                        index)
-        buckets.setdefault(bucket, []).append(index)
-    ordered: List[int] = []
-    records: List[dict] = []
-    for bucket in sorted(buckets):
-        indices = buckets[bucket]
-        ordered.extend(indices)
-        records.append({"round": round_no, "checkpoint": bucket,
-                        "slots": len(indices)})
-    return ordered, records
+    buckets, records = _buckets(injector, category, setup, config,
+                                round_no, indices)
+    return [index for _, slots in buckets for index in slots], records
 
 
 def order_round_batches(injector: BaseInjector, category: str,
@@ -614,21 +617,12 @@ def order_round_batches(injector: BaseInjector, category: str,
     the same manifest ``bucket`` records the scalar scheduler emits —
     batching refines the schedule, it never changes it."""
     lanes = config.resolved_batch()
-    buckets: Dict[int, List[int]] = {}
-    for index in indices:
-        bucket = slot_checkpoint_bucket(injector, category, setup, config,
-                                        index)
-        buckets.setdefault(bucket, []).append(index)
+    buckets, records = _buckets(injector, category, setup, config,
+                                round_no, indices)
     groups: List[Tuple[int, int, List[int]]] = []
-    records: List[dict] = []
-    group_id = 0
-    for bucket in sorted(buckets):
-        indices = buckets[bucket]
-        records.append({"round": round_no, "checkpoint": bucket,
-                        "slots": len(indices)})
-        for i in range(0, len(indices), lanes):
-            groups.append((group_id, bucket, indices[i:i + lanes]))
-            group_id += 1
+    for bucket, slots in buckets:
+        for i in range(0, len(slots), lanes):
+            groups.append((len(groups), bucket, slots[i:i + lanes]))
     return groups, records
 
 

@@ -145,10 +145,8 @@ def _run_chunk(task: Tuple[InjectorSpec, str, CampaignConfig, int,
 def _warm_key(spec_key: str, injector: BaseInjector) -> str:
     """What a forked worker must have inherited to skip redundant work:
     the built injector (with its golden/profiling memos) *and* its
-    checkpoint store for the requested stride policy (including the
-    decoded-cache sizing, which is part of the store memo)."""
-    return (f"{spec_key}|ckpt={injector.checkpoint_request}"
-            f"|dc={injector.decoded_cache_request}")
+    checkpoint store for the requested stride policy."""
+    return f"{spec_key}|ckpt={injector.checkpoint_request}"
 
 
 # -- pool management -----------------------------------------------------------

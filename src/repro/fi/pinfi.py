@@ -11,26 +11,27 @@ activation heuristics from the paper's §IV:
 Both heuristics can be disabled (``PINFIOptions``) to measure how much
 activation they buy — the §IV ablation.
 
-Golden-run memoization, profiling, checkpoint policy and run accounting
-live on :class:`repro.fi.base.BaseInjector`; this module provides the
-SimX86 plumbing and the injection hook.
+The injection procedure itself (profiling, checkpoint resume, the
+trigger, batched first attempts and run accounting) lives on
+:class:`repro.fi.base.BaseInjector`; this module provides what is
+PINFI's own: the assembly candidate selection, the simulator and the
+corruption of a destination register or flag.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.errors import FaultInjectionError
 from repro.backend.machine import (
-    CONDITION_FLAGS, FLAG_BITS, FLAG_NAMES, MInst, MProgram, Reg,
+    CONDITION_FLAGS, FLAG_BITS, MInst, MProgram, Reg,
 )
-from repro.fi.base import BaseInjector, BatchRequest, FirstAttempt
+from repro.fi.base import BaseInjector, InjectionHook
 from repro.fi.categories import CATEGORIES, pinfi_is_candidate
-from repro.fi.fault import FaultModel, FaultRecord, SingleBitFlip
-from repro.vm.asmsim import AsmHook, AsmSimulator
-from repro.vm.batch import pristine_image_of, run_asm_batch
+from repro.fi.fault import FaultModel, FaultRecord
+from repro.vm.asmsim import AsmSimulator
 from repro.vm.result import ExecutionResult
 
 #: Opcodes whose XMM destination holds a double in the low 64 bits.
@@ -76,53 +77,20 @@ def _injection_target(inst: MInst, next_inst: Optional[MInst]) -> Optional[_Targ
     return None
 
 
-class _CountingHook(AsmHook):
-    """One category's dynamic candidate count, one hook call per candidate
-    (:meth:`PINFIInjector.count_dynamic_candidates`, the per-instruction
-    reference for the shared :class:`~repro.fi.base.CandidateCounter`)."""
+class _InjectionHook(InjectionHook):
+    """Flips bits of the k-th dynamic candidate's destination register or
+    of the EFLAGS bit(s) its conditional jump reads, and poisons the
+    target so the run reports whether the fault was activated (read).
+    A memory fault corrupts the cell the instruction just read, found
+    through the simulator's ``last_read`` tag."""
 
-    observer = True  # mutates only its own counter: any span is safe
-
-    def __init__(self, candidate_ids: Set[int]) -> None:
-        self.candidate_ids = candidate_ids
-        self.count = 0
-
-    def on_executed(self, inst, sim):
-        if id(inst) in self.candidate_ids:
-            self.count += 1
-
-
-class _InjectionHook(AsmHook):
-    """Runtime fault injection at the k-th dynamic candidate instance.
-
-    Same model semantics as the LLFI hook: ``repeat > 1`` re-fires at the
-    following instances, ``kind == "memory"`` corrupts the cell the
-    instruction just read (via the simulator's ``last_read`` tag), and a
-    bit-level no-op firing (stuck-at on a matching bit) records the
-    attempt without poisoning — the RNG draw happens either way, so the
-    trial stream is independent of activation."""
-
-    def __init__(self, candidate_ids: Set[int], targets: Dict[int, _Target],
-                 k: int, model: FaultModel, rng: random.Random,
+    def __init__(self, candidate_ids: FrozenSet[int], k: int,
+                 model: FaultModel, rng: random.Random,
+                 targets: Dict[int, _Target],
                  options: PINFIOptions) -> None:
-        self.candidate_ids = candidate_ids
+        super().__init__(candidate_ids, k, model, rng)
         self.targets = targets
-        self.k = k
-        self.model = model
-        self.rng = rng
         self.options = options
-        self.count = 0
-        self.fires_left = model.repeat
-        self.memory_fault = model.kind == "memory"
-        self.record: Optional[FaultRecord] = None
-
-    def compiled_span_ok(self, ncand: int) -> bool:
-        # Safe while the block's candidates cannot reach the trigger
-        # index: every firing (and the poison it plants, which must be
-        # tracked scalar) can only land on a fallback block.  Mid-burst
-        # (intermittent) the window is open, so nothing is safe.
-        return (self.fires_left == self.model.repeat
-                and self.count + ncand < self.k)
 
     def on_executed(self, inst, sim: AsmSimulator):
         if id(inst) not in self.candidate_ids:
@@ -130,13 +98,15 @@ class _InjectionHook(AsmHook):
         self.count += 1
         if self.count < self.k or self.fires_left <= 0:
             return
-        self.fires_left -= 1
-        if self.fires_left == 0:
-            # Last (for transients: only) application — the suffix may
-            # run block-compiled.
-            self.finished = True
+        self._fire()
         if self.memory_fault:
-            self._corrupt_memory(inst, sim)
+            # The firing instruction always runs on a scalar-fallback
+            # block (compiled_span_ok), so its memory reads were tagged
+            # by the scalar operand helpers.
+            tag = sim.last_read
+            cell = tag[1:] if tag is not None and tag[0] == sim.executed \
+                else None
+            self._corrupt_cell(sim.memory, cell, inst.opcode)
             return
         target = self.targets[id(inst)]
         kind = target[0]
@@ -192,10 +162,7 @@ class _InjectionHook(AsmHook):
                     sim.poison_target(("flag", f"RAW{pos}"))
                     desc = f"{inst.opcode} -> FLAGS[{pos}]"
             width = _FLAGS_REGISTER_BITS
-        if self.record is None:
-            self.record = FaultRecord(dynamic_index=self.k,
-                                      bit_positions=positions,
-                                      target=desc, width=width)
+        self._note(positions, desc, width)
 
     def _corrupt_flag(self, sim: AsmSimulator, flag: str) -> bool:
         """Apply the model to one modeled EFLAGS bit; returns changed?"""
@@ -206,32 +173,6 @@ class _InjectionHook(AsmHook):
         sim.flags[flag] = new
         sim.poison_target(("flag", flag))
         return True
-
-    def _corrupt_memory(self, inst, sim: AsmSimulator) -> None:
-        """memflip: corrupt the cell this instruction just read, in
-        place.  No poison — activation is judged by outcome divergence
-        (see MemoryBitFlip).  The firing instruction always runs on a
-        scalar-fallback block (compiled_span_ok), so its memory reads
-        were tagged by the scalar operand helpers."""
-        tag = sim.last_read
-        if tag is None or tag[0] != sim.executed:
-            # Candidate read no memory: automatic not-activated redraw.
-            if self.record is None:
-                self.record = FaultRecord(
-                    dynamic_index=self.k, bit_positions=[],
-                    target=f"{inst.opcode} (no memory read)", width=0)
-            return
-        _, addr, nbytes = tag
-        width = nbytes * 8
-        positions = self.model.pick_bits(width, self.rng)
-        bits = sim.memory.read_int(addr, nbytes, signed=False)
-        new = self.model.apply(bits, positions, width)
-        if new != bits:
-            sim.memory.write_int(addr, nbytes, new)
-        if self.record is None:
-            self.record = FaultRecord(
-                dynamic_index=self.k, bit_positions=positions,
-                target=f"{inst.opcode} @0x{addr:x}", width=width)
 
 
 class PINFIInjector(BaseInjector):
@@ -245,7 +186,7 @@ class PINFIInjector(BaseInjector):
         super().__init__()
         self.program = program
         self.options = options or PINFIOptions()
-        self._candidate_ids: Dict[str, Set[int]] = {c: set() for c in CATEGORIES}
+        candidate_ids: Dict[str, Set[int]] = {c: set() for c in CATEGORIES}
         self._targets: Dict[int, _Target] = {}
         for mfunc in program.functions.values():
             for block in mfunc.blocks:
@@ -256,21 +197,15 @@ class PINFIInjector(BaseInjector):
                     matched = False
                     for category in CATEGORIES:
                         if pinfi_is_candidate(inst, nxt, category):
-                            self._candidate_ids[category].add(id(inst))
+                            candidate_ids[category].add(id(inst))
                             matched = True
                     if matched:
                         if target is None:
                             raise FaultInjectionError(
                                 f"candidate without target: {inst!r}")
                         self._targets[id(inst)] = target
-        #: Lazily built batch-execution template: a never-run simulator
-        #: whose shared tables and pristine memory image every sweep and
-        #: lane reuses (see run_batch).
-        self._template: Optional[AsmSimulator] = None
-        self._pristine = None
-
-    def static_candidate_count(self, category: str) -> int:
-        return len(self._candidate_ids[category])
+        self._candidate_ids: Dict[str, FrozenSet[int]] = {
+            c: frozenset(ids) for c, ids in candidate_ids.items()}
 
     def _compile_subject(self):
         return self.program
@@ -282,97 +217,14 @@ class PINFIInjector(BaseInjector):
                             max_call_depth=self.options.max_call_depth,
                             hook=hook, hook_filter=hook_filter, **kwargs)
 
-    def count_dynamic_candidates(self, category: str,
-                                 max_instructions: int = 100_000_000) -> int:
-        ids = frozenset(self._candidate_ids[category])
-        hook = _CountingHook(ids)
-        result = self._execute(hook, max_instructions, hook_filter=ids)
-        self._account_run(result)
-        if not result.completed:
-            raise FaultInjectionError(
-                f"profiling run did not complete: {result.status}")
-        return hook.count
+    def _injection_hook(self, category, k, model, rng) -> _InjectionHook:
+        return _InjectionHook(self._candidate_ids[category], k, model, rng,
+                              self._targets, self.options)
 
     def run_with_fault(self, category: str, k: int, rng: random.Random,
                        model: Optional[FaultModel] = None,
                        max_instructions: Optional[int] = None,
                        ) -> Tuple[ExecutionResult, Optional[FaultRecord], bool]:
-        """One injection run; with checkpoints enabled it resumes from the
-        last golden checkpoint before the k-th dynamic candidate (the hook
-        resumes counting from the checkpoint's candidate count, and the RNG
-        is only consumed at the injection point, so the resumed trial is
-        bit-identical to a cold start)."""
-        ids = frozenset(self._candidate_ids[category])
-        hook = _InjectionHook(ids, self._targets,
-                              k, model or SingleBitFlip(), rng, self.options)
-        sim = self._engine(hook,
-                           max_instructions or self.default_max_instructions,
-                           hook_filter=ids)
-        skipped = self._resume_from_checkpoint(sim, hook, category, k)
-        result = sim.run()
-        self._absorb_compile(sim)
-        self._account_run(result, skipped)
-        if hook.record is None:
-            raise FaultInjectionError(
-                f"dynamic instance {k} was never reached")
-        return result, hook.record, sim.fault_activated
-
-    # -- batched execution ----------------------------------------------------
-    def _batch_template(self) -> AsmSimulator:
-        """Never-run simulator providing the shared function records /
-        poison metadata and the pristine cold-start memory image."""
-        if self._template is None:
-            sim = self._engine(None, self.default_max_instructions)
-            self._template = sim
-            self._pristine = pristine_image_of(sim)
-        return self._template
-
-    def run_batch(self, category, requests, model=None,
-                  max_instructions=None):
-        """One (category, checkpoint-bucket) group of first attempts as a
-        shared sweep + COW forks; detached lanes fall back to the scalar
-        path (see :mod:`repro.vm.batch`)."""
-        ids = frozenset(self._candidate_ids[category])
-        model = model or SingleBitFlip()
-        budget = max_instructions or self.default_max_instructions
-        store = self.ensure_checkpoints()
-        checkpoint = images = None
-        base_count = 0
-        if store is not None:
-            checkpoint = store.best_for(category, requests[0].k)
-            if checkpoint is not None:
-                images = store.decoded_memory(checkpoint)
-                base_count = checkpoint.counts[category]
-        template = self._batch_template()
-        layout, pristine = self._pristine
-
-        def hook_for(request: BatchRequest) -> _InjectionHook:
-            return _InjectionHook(ids, self._targets, request.k, model,
-                                  request.rng, self.options)
-
-        lane_runs, detached, stats = run_asm_batch(
-            self.program, requests, candidate_ids=ids, hook_for=hook_for,
-            budget=budget, max_call_depth=self.options.max_call_depth,
-            template=template, pristine_layout=layout,
-            pristine_images=pristine, checkpoint=checkpoint,
-            decoded_images=images, base_count=base_count,
-            compile_blocks=self.compile_enabled)
-
-        self._account_batch_sweep(stats.shared_instructions)
-        firsts = {}
-        for run in lane_runs:
-            self._absorb_compile(run.machine)
-            self._account_batch_lane(run.result, run.fork_executed)
-            firsts[run.request.index] = FirstAttempt(
-                k=run.request.k, result=run.result, record=run.hook.record,
-                activated=run.machine.fault_activated,
-                instructions=run.result.instructions - run.fork_executed,
-                restores=1 if run.fork_executed else 0,
-                skipped=run.fork_executed, wall_s=run.wall_s)
-        self.batch_detached += len(detached)
-        for request in detached:
-            firsts[request.index] = self._scalar_first(category, request,
-                                                       model, budget)
-        stats.lane_instructions = sum(f.instructions
-                                      for f in firsts.values())
-        return firsts, stats
+        """One injection run: flip a bit in the destination of the k-th
+        dynamic candidate (see :meth:`BaseInjector._inject`)."""
+        return self._inject(category, k, rng, model, max_instructions)

@@ -62,6 +62,7 @@ def summarize(manifest: RunManifest) -> dict:
         w["slots"] += len(chunk["slots"])
         w["busy_s"] += chunk["wall_s"]
     busy = [w["busy_s"] for w in workers.values()]
+    n_stop = s.get("n_stop", len(trials))
     return {
         "cell": _cell(manifest),
         "model": h.get("model", "bitflip"),
@@ -71,7 +72,9 @@ def summarize(manifest: RunManifest) -> dict:
         "not_activated": s.get("not_activated", 0),
         "injection_runs": runs,
         "wall_s": wall,
-        "trials_per_sec": (h["trials"] / wall) if wall else 0.0,
+        # Slots executed, not the requested budget: an early-stopped
+        # cell ran only ``n_stop`` of them.
+        "trials_per_sec": (n_stop / wall) if wall else 0.0,
         "mean_trial_ms": 1000.0 * sum(t["wall_s"] for t in trials) / n,
         "golden_instructions": manifest.setup.get("golden_instructions", 0),
         "prep_instructions": manifest.setup.get("prep_instructions", 0),
@@ -90,7 +93,7 @@ def summarize(manifest: RunManifest) -> dict:
         # adaptive" so the report keeps working on minimal manifests).
         "ci_margin": h.get("ci_margin", 0.0),
         "trials_requested": s.get("trials_requested", h["trials"]),
-        "n_stop": s.get("n_stop", len(trials)),
+        "n_stop": n_stop,
         "stopped": s.get("stopped", False),
         "trials_saved": s.get("trials_saved", 0),
         "margin_at_stop": s.get("margin_at_stop"),

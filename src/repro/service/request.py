@@ -139,9 +139,8 @@ class CampaignRequest:
                   ) -> CampaignConfig:
         """The :class:`CampaignConfig` that executes this request.
         ``like`` supplies the accelerator knobs (jobs, checkpoint stride,
-        batching, decoded cache, compilation, tracing) — all proven
-        result-inert — while every result-affecting field comes from the
-        request itself."""
+        batching, compilation, tracing) — all proven result-inert — while
+        every result-affecting field comes from the request itself."""
         like = like or CampaignConfig()
         return CampaignConfig(
             trials=self.trials, seed=self.seed,
@@ -150,8 +149,7 @@ class CampaignRequest:
             fault_model=self.fault_model,
             ci_margin=self.ci_margin, round_size=self.round_size,
             jobs=like.jobs, checkpoint_stride=like.checkpoint_stride,
-            batch=like.batch, decoded_cache=like.decoded_cache,
-            no_compile=like.no_compile, trace=like.trace,
+            batch=like.batch, no_compile=like.no_compile, trace=like.trace,
             trace_dir=like.trace_dir)
 
     # -- schema-versioned serialization (the job payload) --------------------

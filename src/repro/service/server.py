@@ -55,15 +55,15 @@ from repro.service.request import CampaignRequest
 from repro.service.runtime import drive_shards
 from repro.service.store import SQLiteStore
 
-#: Accelerator knobs a submission may set on its workers.  Everything
-#: else in CampaignConfig is identity (comes from the request) or
+#: Accelerator knobs a submission may set on its workers, with the JSON
+#: type each must have.  Everything else in CampaignConfig is identity (comes from the request) or
 #: meaningless inside a shard (``jobs`` — a shard is one process's unit
 #: of work).  ``checkpoint_stride`` defaults to the experiments CLI's
 #: automatic stride (see ``repro.service.worker.config_from_accel``);
 #: checkpoint snapshots cannot be persisted (see repro/vm/snapshot.py),
 #: so each worker records its own, one preparation run per injector per
 #: process.  ``checkpoint_stride: 0`` runs the scalar path.
-ACCEL_KNOBS = ("checkpoint_stride", "batch", "decoded_cache", "no_compile")
+ACCEL_KNOBS = {"checkpoint_stride": int, "batch": int, "no_compile": bool}
 
 
 def _shard_summary(shards: List[dict]) -> dict:
@@ -222,6 +222,24 @@ def _int_arg(value: object, name: str) -> int:
             from None
 
 
+def _accel_arg(accel: object) -> dict:
+    """A submission's ``accel``, checked before any worker sees it: an
+    object of known knobs, each of its :data:`ACCEL_KNOBS` type (a
+    boolean is no integer here, although Python's ``bool`` is one)."""
+    if not isinstance(accel, dict):
+        raise _BadRequest(f"accel must be an object, got {accel!r}")
+    unknown = sorted(set(accel) - set(ACCEL_KNOBS))
+    if unknown:
+        raise _BadRequest(f"unknown accel knobs {unknown}; "
+                          f"allowed: {list(ACCEL_KNOBS)}")
+    for knob, value in accel.items():
+        kind = ACCEL_KNOBS[knob]
+        if type(value) is not kind:
+            raise _BadRequest(f"accel {knob} must be {kind.__name__}, "
+                              f"got {value!r}")
+    return accel
+
+
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-campaign-service/1"
 
@@ -332,12 +350,7 @@ class _Handler(BaseHTTPRequestHandler):
         if shards <= 0:
             self._error(400, f"shard count must be positive: {shards}")
             return
-        accel = body.get("accel", {})
-        unknown = sorted(set(accel) - set(ACCEL_KNOBS))
-        if unknown:
-            self._error(400, f"unknown accel knobs {unknown}; "
-                             f"allowed: {list(ACCEL_KNOBS)}")
-            return
+        accel = _accel_arg(body.get("accel", {}))
         cached = self.store.get_result(request) is not None
         job_id = self.store.create_job(request, shards, accel, cached=cached)
         self._reply(200, {"job": job_id, "key": request.key(),

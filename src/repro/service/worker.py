@@ -43,7 +43,6 @@ def config_from_accel(accel: dict) -> CampaignConfig:
         checkpoint_stride=int(accel.get("checkpoint_stride",
                                         DEFAULT_CHECKPOINT_STRIDE)),
         batch=int(accel.get("batch", 0)),
-        decoded_cache=int(accel.get("decoded_cache", 0)),
         no_compile=bool(accel.get("no_compile", False)))
 
 

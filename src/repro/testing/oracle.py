@@ -291,6 +291,11 @@ class Oracle:
                             seed=cfg.campaign_seed,
                             fault_model=model,
                             checkpoint_stride=-1), 1),
+                        ("batched", CampaignConfig(
+                            trials=cfg.campaign_trials,
+                            seed=cfg.campaign_seed,
+                            fault_model=model,
+                            checkpoint_stride=-1, batch=-1), 1),
                     ]
                     for label, config, jobs in variants:
                         other = run_parallel_campaign(spec, "all", config,

@@ -34,18 +34,23 @@ is byte-identical to the sweep, so the agreeing-lanes lane-array
 degenerates to one shared machine — which is what this implements (see
 DESIGN.md for the argument).
 
+Both engines share one driver (:func:`run_batch`, which takes the
+engine from the caller's template machine) and one fork/detach decision
+(:class:`_Sweep`); the per-engine sweeps only locate the pending
+instruction.
+
 Layering: this module knows nothing about fault injection.  Lane
 requests are opaque objects with a ``k`` attribute; injection hooks are
-built by a caller-supplied ``hook_for`` factory (``repro.fi.llfi`` /
-``repro.fi.pinfi`` pass their injection hooks and read the fault record
-back off them).
+built by a caller-supplied ``hook_for`` factory
+(:meth:`repro.fi.base.BaseInjector.run_batch` passes its tool's
+injection hook and reads the fault record back off it).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.vm.asmsim import AsmHook, AsmSimulator
 from repro.vm.irinterp import InterpHook, IRInterpreter
@@ -133,28 +138,24 @@ class BatchStats:
         }
 
 
-class _AsmCountingHook(AsmHook):
-    """Counts retired candidates (the engine's hook_filter pre-selects
-    them), mirroring the injectors' counting exactly."""
+class _CountingHook(InterpHook, AsmHook):
+    """Counts retired candidates on either engine (the engine's
+    hook_filter pre-selects them), mirroring the injectors' counting
+    exactly."""
 
-    def __init__(self) -> None:
-        self.count = 0
-
-    def on_executed(self, inst, sim) -> None:
-        self.count += 1
-
-
-class _IRCountingHook(InterpHook):
-    def __init__(self) -> None:
-        self.count = 0
+    def __init__(self, count: int) -> None:
+        self.count = count
 
     def on_result(self, inst, value, interp):
         self.count += 1
         return value
 
+    def on_executed(self, inst, sim) -> None:
+        self.count += 1
 
-class _AsmSweep(AsmSimulator):
-    """Golden sweep over a bucket's shared prefix.
+
+class _Sweep:
+    """Golden sweep over a bucket's shared prefix, mixed into an engine.
 
     Runs with ``checkpoint_stride=1`` and ``_next_checkpoint=0`` so the
     recording branch of the main loop fires at *every* instruction
@@ -163,16 +164,10 @@ class _AsmSweep(AsmSimulator):
     never compiles: a compiled recording run only checks its tap at
     segment boundaries, and a lane may fork at any instruction."""
 
-    def __init__(self, program, requests, *, candidate_ids, budget,
-                 max_call_depth, template, memory, base_count) -> None:
-        hook = _AsmCountingHook()
-        super().__init__(program, max_instructions=budget,
-                         max_call_depth=max_call_depth,
-                         hook=hook, hook_filter=candidate_ids,
+    def __init__(self, subject, requests, base_count: int, **kwargs) -> None:
+        super().__init__(subject, hook=_CountingHook(base_count),
                          checkpoint_stride=1, checkpoint_sink=_no_sink,
-                         template=template, memory=memory,
-                         compile_blocks=False)
-        hook.count = base_count
+                         compile_blocks=False, **kwargs)
         # Fire the boundary check from the very first boundary (executed
         # may be 0 on a cold start); never advanced, so it fires at all.
         self._next_checkpoint = 0
@@ -180,66 +175,38 @@ class _AsmSweep(AsmSimulator):
         self._forks: List[_Fork] = []
         self._missed: List[object] = []
 
-    def _take_checkpoint(self, loc) -> None:
+    def _take_checkpoint(self, *loc) -> None:
+        # ``loc`` is the asm tier's program counter; the IR tier passes
+        # none (its frames carry their resume positions).
         count = self.hook.count
         waiting = self._waiting
         while waiting and waiting[0].k <= count:
-            # The lane's k retired between boundaries — cannot happen at
-            # the asm tier (every candidate is a boundary instruction),
-            # kept as a correctness net: detach to the scalar path.
+            # The lane's k retired between boundaries (IR phi batches
+            # and pending-call results; never at the asm tier, where
+            # every candidate is a boundary instruction): detach it to
+            # the scalar path.
             self._missed.append(waiting.pop(0))
         if not waiting:
             raise _SweepDone
-        if waiting[0].k == count + 1:
-            inst = loc.func.blocks[loc.block][loc.index]
-            if id(inst) in self.hook_filter:
-                snapshot = self.capture(loc, include_memory=False)
-                while waiting and waiting[0].k == count + 1:
-                    self._forks.append(_Fork(waiting.pop(0), snapshot,
-                                             self.memory.fork(), count))
-                if not waiting:
-                    raise _SweepDone
+        if waiting[0].k == count + 1 \
+                and id(self._pending(*loc)) in self.hook_filter:
+            snapshot = self.capture(*loc, include_memory=False)
+            while waiting and waiting[0].k == count + 1:
+                self._forks.append(_Fork(waiting.pop(0), snapshot,
+                                         self.memory.fork(), count))
+            if not waiting:
+                raise _SweepDone
 
 
-class _IRSweep(IRInterpreter):
-    """IR-tier analog of :class:`_AsmSweep`.
+class _AsmSweep(_Sweep, AsmSimulator):
+    def _pending(self, loc):
+        return loc.func.blocks[loc.block][loc.index]
 
-    Differs only in where it finds the pending instruction, and in that
-    misses are real: phi batches and pending-call results retire between
-    boundaries, so a lane whose k lands on one detaches."""
 
-    def __init__(self, module, requests, *, candidate_ids, budget,
-                 max_call_depth, template, memory, base_count) -> None:
-        hook = _IRCountingHook()
-        super().__init__(module, max_instructions=budget,
-                         max_call_depth=max_call_depth,
-                         hook=hook, hook_filter=candidate_ids,
-                         checkpoint_stride=1, checkpoint_sink=_no_sink,
-                         template=template, memory=memory,
-                         compile_blocks=False)
-        hook.count = base_count
-        self._next_checkpoint = 0
-        self._waiting = sorted(requests, key=lambda r: r.k)
-        self._forks: List[_Fork] = []
-        self._missed: List[object] = []
-
-    def _take_checkpoint(self) -> None:
-        count = self.hook.count
-        waiting = self._waiting
-        while waiting and waiting[0].k <= count:
-            self._missed.append(waiting.pop(0))
-        if not waiting:
-            raise _SweepDone
-        if waiting[0].k == count + 1:
-            frame = self.current_frame
-            inst = frame.resume_block.instructions[frame.resume_index]
-            if id(inst) in self.hook_filter:
-                snapshot = self.capture(include_memory=False)
-                while waiting and waiting[0].k == count + 1:
-                    self._forks.append(_Fork(waiting.pop(0), snapshot,
-                                             self.memory.fork(), count))
-                if not waiting:
-                    raise _SweepDone
+class _IRSweep(_Sweep, IRInterpreter):
+    def _pending(self):
+        frame = self.current_frame
+        return frame.resume_block.instructions[frame.resume_index]
 
 
 def _bucket_memory(checkpoint: Optional[Checkpoint],
@@ -257,124 +224,75 @@ def _bucket_memory(checkpoint: Optional[Checkpoint],
     return COWMemory.from_images(pristine_layout, pristine_images, stats)
 
 
-def _drain(sweep, start_executed: int, sweep_wall: float,
-           lane_factory: Callable[[_Fork], Tuple[object, object]],
-           lanes_total: int) -> Tuple[List[LaneRun], List[object], BatchStats]:
-    """Run every fork to completion; collect stats and detached lanes."""
+def run_batch(template: Union[IRInterpreter, AsmSimulator],
+              requests: Sequence[object], *,
+              candidate_ids: frozenset,
+              hook_for: Callable[[object], object],
+              budget: int,
+              pristine: Tuple[Sequence[Tuple[str, int, int]],
+                              Sequence[bytes]],
+              checkpoint: Optional[Checkpoint] = None,
+              decoded_images: Optional[Sequence[bytes]] = None,
+              base_count: int = 0,
+              compile_blocks: bool = True):
+    """One bucket's worth of trials: shared sweep + COW forks.
+
+    ``template`` is a never-run engine of either tier; the sweep and
+    every lane are engines of its type sharing its tables.
+    ``pristine`` is its cold-start image (:func:`pristine_image_of`).
+    Returns ``(lane_runs, detached_requests, stats)``; detached requests
+    must be run by the caller through the scalar path."""
+    if isinstance(template, IRInterpreter):
+        sweep_type, subject = _IRSweep, template.module
+    else:
+        sweep_type, subject = _AsmSweep, template.program
+
+    def engine(engine_type, memory, **kwargs):
+        return engine_type(subject, max_instructions=budget,
+                           max_call_depth=template.max_call_depth,
+                           hook_filter=candidate_ids, template=template,
+                           memory=memory, **kwargs)
+
+    cow_stats = CowStats()
+    memory = _bucket_memory(checkpoint, decoded_images, *pristine,
+                            cow_stats)
+    t0 = time.perf_counter()
+    sweep = engine(sweep_type, memory, requests=requests,
+                   base_count=base_count)
+    start_executed = 0
+    if checkpoint is not None:
+        sweep.restore(checkpoint.snapshot, skip_memory=True)
+        start_executed = checkpoint.snapshot.executed
+    try:
+        sweep.run()
+    except _SweepDone:
+        pass
+    sweep_wall = time.perf_counter() - t0
+
     runs: List[LaneRun] = []
     for fork in sweep._forks:
         t0 = time.perf_counter()
-        machine, hook = lane_factory(fork)
-        result = machine.run()
-        runs.append(LaneRun(fork.request, hook, machine, result,
+        hook = hook_for(fork.request)
+        hook.count = fork.count
+        lane = engine(type(template), fork.memory, hook=hook,
+                      compile_blocks=compile_blocks)
+        lane.restore(fork.snapshot, skip_memory=True)
+        result = lane.run()
+        runs.append(LaneRun(fork.request, hook, lane, result,
                             fork.snapshot.executed,
                             time.perf_counter() - t0))
-    detached = list(sweep._missed) + list(sweep._waiting)
-    cow = sweep.memory.stats
+    detached = sweep._missed + sweep._waiting
     stats = BatchStats(
-        lanes=lanes_total,
+        lanes=len(requests),
         forked=len(runs),
         detached=len(detached),
         shared_instructions=sweep.executed - start_executed,
         sweep_wall_s=sweep_wall,
-        forks=cow.forks,
-        pages_shared=cow.pages_shared,
-        pages_cow=cow.pages_cow,
+        forks=cow_stats.forks,
+        pages_shared=cow_stats.pages_shared,
+        pages_cow=cow_stats.pages_cow,
     )
     return runs, detached, stats
-
-
-def run_asm_batch(program, requests: Sequence[object], *,
-                  candidate_ids: frozenset,
-                  hook_for: Callable[[object], AsmHook],
-                  budget: int, max_call_depth: int,
-                  template: AsmSimulator,
-                  pristine_layout: Sequence[Tuple[str, int, int]],
-                  pristine_images: Sequence[bytes],
-                  checkpoint: Optional[Checkpoint] = None,
-                  decoded_images: Optional[Sequence[bytes]] = None,
-                  base_count: int = 0,
-                  compile_blocks: bool = True):
-    """One bucket's worth of asm-tier trials: shared sweep + COW forks.
-
-    Returns ``(lane_runs, detached_requests, stats)``; detached requests
-    must be run by the caller through the scalar path."""
-    cow_stats = CowStats()
-    memory = _bucket_memory(checkpoint, decoded_images,
-                            pristine_layout, pristine_images, cow_stats)
-    t0 = time.perf_counter()
-    sweep = _AsmSweep(program, requests, candidate_ids=candidate_ids,
-                      budget=budget, max_call_depth=max_call_depth,
-                      template=template, memory=memory,
-                      base_count=base_count)
-    start_executed = 0
-    if checkpoint is not None:
-        sweep.restore(checkpoint.snapshot, skip_memory=True)
-        start_executed = checkpoint.snapshot.executed
-    try:
-        sweep.run()
-    except _SweepDone:
-        pass
-    sweep_wall = time.perf_counter() - t0
-
-    def lane_factory(fork: _Fork):
-        hook = hook_for(fork.request)
-        hook.count = fork.count
-        lane = AsmSimulator(program, max_instructions=budget,
-                            max_call_depth=max_call_depth,
-                            hook=hook, hook_filter=candidate_ids,
-                            template=template, memory=fork.memory,
-                            compile_blocks=compile_blocks)
-        lane.restore(fork.snapshot, skip_memory=True)
-        return lane, hook
-
-    return _drain(sweep, start_executed, sweep_wall, lane_factory,
-                  len(requests))
-
-
-def run_ir_batch(module, requests: Sequence[object], *,
-                 candidate_ids: frozenset,
-                 hook_for: Callable[[object], InterpHook],
-                 budget: int, max_call_depth: int,
-                 template: IRInterpreter,
-                 pristine_layout: Sequence[Tuple[str, int, int]],
-                 pristine_images: Sequence[bytes],
-                 checkpoint: Optional[Checkpoint] = None,
-                 decoded_images: Optional[Sequence[bytes]] = None,
-                 base_count: int = 0,
-                 compile_blocks: bool = True):
-    """IR-tier analog of :func:`run_asm_batch`."""
-    cow_stats = CowStats()
-    memory = _bucket_memory(checkpoint, decoded_images,
-                            pristine_layout, pristine_images, cow_stats)
-    t0 = time.perf_counter()
-    sweep = _IRSweep(module, requests, candidate_ids=candidate_ids,
-                     budget=budget, max_call_depth=max_call_depth,
-                     template=template, memory=memory,
-                     base_count=base_count)
-    start_executed = 0
-    if checkpoint is not None:
-        sweep.restore(checkpoint.snapshot, skip_memory=True)
-        start_executed = checkpoint.snapshot.executed
-    try:
-        sweep.run()
-    except _SweepDone:
-        pass
-    sweep_wall = time.perf_counter() - t0
-
-    def lane_factory(fork: _Fork):
-        hook = hook_for(fork.request)
-        hook.count = fork.count
-        lane = IRInterpreter(module, max_instructions=budget,
-                             max_call_depth=max_call_depth,
-                             hook=hook, hook_filter=candidate_ids,
-                             template=template, memory=fork.memory,
-                             compile_blocks=compile_blocks)
-        lane.restore(fork.snapshot, skip_memory=True)
-        return lane, hook
-
-    return _drain(sweep, start_executed, sweep_wall, lane_factory,
-                  len(requests))
 
 
 def pristine_image_of(machine) -> Tuple[Tuple[Tuple[str, int, int], ...],

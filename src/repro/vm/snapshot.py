@@ -220,15 +220,11 @@ class CheckpointStore:
     report.
     """
 
-    def __init__(self, stride: int, decoded_cache: int = 0) -> None:
+    def __init__(self, stride: int) -> None:
         if stride <= 0:
             raise ReproError(f"checkpoint stride must be positive: {stride}")
         #: Resolved recording stride in instructions.
         self.stride = stride
-        #: Decode-LRU capacity; 0 (or negative) selects the default.
-        #: Purely an accelerator knob — never part of any cache key.
-        self.decoded_cache = (decoded_cache if decoded_cache > 0
-                              else DECODED_CACHE_SNAPSHOTS)
         self._checkpoints: List[Checkpoint] = []
         #: Per-category count columns for :meth:`index_before` (lazy).
         self._count_columns: Dict[str, List[int]] = {}
@@ -293,6 +289,6 @@ class CheckpointStore:
         if rec.enabled:
             rec.incr("snapshot.decodes")
         self._decoded[key] = decoded
-        while len(self._decoded) > self.decoded_cache:
+        while len(self._decoded) > DECODED_CACHE_SNAPSHOTS:
             self._decoded.popitem(last=False)
         return decoded

@@ -3,9 +3,7 @@
 
 import pytest
 
-from repro.experiments.cli import (
-    _TARGET_MODULES, main, warn_deprecated_entrypoint,
-)
+from repro.experiments.cli import _TARGET_MODULES, main
 
 
 class TestRunSubcommand:
@@ -40,11 +38,3 @@ class TestRunSubcommand:
 
         for target, module in _TARGET_MODULES.items():
             assert hasattr(importlib.import_module(module), "main"), target
-
-
-class TestDeprecationShims:
-    def test_notice_names_replacement(self, capsys):
-        warn_deprecated_entrypoint("table5")
-        err = capsys.readouterr().err
-        assert "deprecated" in err
-        assert "python -m repro.experiments run table5" in err

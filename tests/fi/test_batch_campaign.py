@@ -145,58 +145,25 @@ class TestEngineBatchParity:
         assert _json(scalar) == _json(batched)
 
 
-class TestDecodedCacheKnob:
-    def test_store_capacity_is_configurable(self, built):
-        inj = _fresh("LLFI", built)
-        inj.configure_checkpoints(40, decoded_cache=2)
-        store = inj.ensure_checkpoints()
-        assert store.decoded_cache == 2
-        # Decode more snapshots than the capacity: the LRU never grows
-        # past it.
-        for cp in store._checkpoints[:4]:
-            store.decoded_memory(cp)
-        assert len(store._decoded) <= 2
-
-    def test_default_capacity_when_zero(self, built):
-        from repro.vm.snapshot import DECODED_CACHE_SNAPSHOTS
-        inj = _fresh("LLFI", built)
-        inj.configure_checkpoints(40)
-        assert inj.ensure_checkpoints().decoded_cache == \
-            DECODED_CACHE_SNAPSHOTS
-
-    def test_resizing_rebuilds_the_store_memo(self, built):
-        inj = _fresh("LLFI", built)
-        inj.configure_checkpoints(40, decoded_cache=1)
-        a = inj.ensure_checkpoints()
-        inj.configure_checkpoints(40, decoded_cache=3)
-        b = inj.ensure_checkpoints()
-        assert a is not b and b.decoded_cache == 3
-        inj.configure_checkpoints(40, decoded_cache=3)
-        assert inj.ensure_checkpoints() is b
-
-
 class TestCacheKeyExcludesBatching:
     def test_cache_key_identical_for_any_batch_and_cache(self):
-        """``batch`` and ``decoded_cache`` are pure accelerators (the
-        differential tests above prove bit-identity), so — like ``jobs``
-        and ``checkpoint_stride`` — they must never enter the disk-cache
-        key."""
+        """``batch`` is a pure accelerator (the differential tests above
+        prove bit-identity), so — like ``jobs`` and ``checkpoint_stride``
+        — it must never enter the disk-cache key."""
         from repro.service import CampaignRequest
         keys = {CampaignRequest.from_config(
                     "w", "LLFI", "all",
-                    CampaignConfig(trials=5, seed=1, batch=b,
-                                   decoded_cache=d)).key()
-                for b in (0, -1, 4, 32) for d in (0, 2)}
+                    CampaignConfig(trials=5, seed=1, batch=b)).key()
+                for b in (0, -1, 4, 32)}
         assert len(keys) == 1
 
     def test_cli_flags_reach_the_config(self):
         from repro.experiments.common import (
             config_from_args, experiment_argparser,
         )
-        args = experiment_argparser("t").parse_args(
-            ["--batch", "-1", "--decoded-cache", "6"])
+        args = experiment_argparser("t").parse_args(["--batch", "-1"])
         config = config_from_args(args)
-        assert config.batch == -1 and config.decoded_cache == 6
+        assert config.batch == -1
         assert config.resolved_batch() == DEFAULT_BATCH_LANES
 
 

@@ -37,6 +37,7 @@ class TestSummarize:
         assert summary["margin_at_stop"] == 0.15
         assert summary["stopped"] is True
         assert summary["rounds"] == 2
+        assert summary["trials_per_sec"] == 50 / summary["wall_s"]
 
 
 class TestStopClaimValidation:

@@ -52,6 +52,11 @@ def _raw(address, method, path, body=None):
         return exc.code, json.loads(exc.read())
 
 
+def _accel_body(accel):
+    return json.dumps({"request": _req("LLFI").to_json(),
+                       "accel": accel}).encode()
+
+
 #: Malformed client input, by test id: (method, path, raw body).
 MALFORMED = {
     "poll-job-not-int": ("GET", "/poll?job=abc", None),
@@ -66,6 +71,15 @@ MALFORMED = {
         "POST", "/submit",
         json.dumps({"request": _req("LLFI").to_json(),
                     "shards": "two"}).encode()),
+    "accel-null": ("POST", "/submit", _accel_body(None)),
+    "accel-not-object": ("POST", "/submit", _accel_body(5)),
+    "accel-stride-not-int": (
+        "POST", "/submit", _accel_body({"checkpoint_stride": "abc"})),
+    "accel-batch-bool": ("POST", "/submit", _accel_body({"batch": True})),
+    "accel-no-compile-not-bool": (
+        "POST", "/submit", _accel_body({"no_compile": 1})),
+    "accel-decoded-cache": (
+        "POST", "/submit", _accel_body({"decoded_cache": 4})),
 }
 
 
