@@ -3,18 +3,29 @@
     PYTHONPATH=src python benchmarks/bench_checkpoint.py --trials 32
 
 For each (workload, tool) pair the same campaign is run cold
-(``checkpoint_stride=0``) and with golden-run checkpoints at stride N/5
-and N/20 (N = golden instruction count; N/20 is what the experiments'
-default ``--checkpoint-stride -1`` resolves to).  Each configuration uses
-a *fresh* injector so nothing is shared between configurations except the
-compiled program.  The benchmark verifies the bit-identity contract — the
-outcome distribution and every per-trial fault record must be unchanged —
-and exits non-zero on any mismatch, so CI can use it as a regression gate.
+(``checkpoint_stride=0``), with golden-run checkpoints at explicit strides
+N/5 and N/20 (N = golden instruction count), and at the automatic stride
+``auto`` (``checkpoint_stride=-1``, the experiments' default: one
+recording at a provisional stride, thinned to about N/20).  Each
+configuration uses a *fresh* injector so nothing is shared between
+configurations except the compiled program.  The benchmark verifies the
+bit-identity contract — the outcome distribution and every per-trial
+fault record must be unchanged — and exits non-zero on any mismatch, so
+CI can use it as a regression gate.
+
+Per configuration it reports the preparation runs, the injection runs
+that converged onto the golden run (and stopped there) and the golden
+tail instructions those runs skipped.  Two more gates: ``auto`` must
+prepare a fresh injector of a program long enough for the provisional
+stride (libquantumm is) in one run, and at least one checkpointed
+configuration must converge some run — a comparator that silently never
+matches would otherwise pass.
 
 Writes a machine-readable summary (default ``BENCH_checkpoint.json``) with
 per-configuration simulated-instruction counts, wall-clock, and the
-instruction reduction vs cold, so the perf trajectory of the trial hot
-path can be tracked across PRs.
+instruction reduction vs cold, split into the skipped prefix and the
+converged tail, so the perf trajectory of the trial hot path can be
+tracked across PRs.
 
 With ``--trace-dir`` every configuration also writes its JSONL run
 manifest (``repro.obs``) and the benchmark cross-checks the manifest
@@ -32,6 +43,7 @@ import time
 
 from repro.fi import CampaignConfig, LLFIInjector, PINFIInjector, run_campaign
 from repro.obs.manifest import manifest_filename, read_manifest
+from repro.vm.snapshot import PROVISIONAL_STRIDE
 from repro.workloads import build
 
 
@@ -65,13 +77,23 @@ def measure(tool: str, built, category: str, trials: int, seed: int,
     result = run_campaign(injector, category, config)
     seconds = time.perf_counter() - t0
     store = injector.ensure_checkpoints()
+    # Every run that was not an injection prepared the injector, and a
+    # preparation run simulates the whole program.
+    prep_runs = injector.executions - result.activated \
+        - result.not_activated
+    prep_instructions = prep_runs * injector.golden_cached().instructions
     cell = {
         "label": label,
         "stride": stride,
         "seconds": round(seconds, 4),
         "instructions_simulated": injector.instructions_simulated,
         "executions": injector.executions,
+        "prep_runs": prep_runs,
+        "prep_instructions": prep_instructions,
         "checkpoints": len(store) if store is not None else 0,
+        "prefix_skipped": injector.ckpt_instructions_skipped,
+        "converged_runs": injector.converged_runs,
+        "tail_skipped": injector.converged_instructions,
         "fingerprint": _fingerprint(result),
     }
     if trace_dir:
@@ -101,6 +123,8 @@ def bench_pair(workload: str, tool: str, category: str, trials: int,
                 workload, trace_dir),
         measure(tool, built, category, trials, seed, max(1, n // 20), "N/20",
                 workload, trace_dir),
+        measure(tool, built, category, trials, seed, -1, "auto",
+                workload, trace_dir),
     ]
     cold = configs[0]
     identical = all(c["fingerprint"] == cold["fingerprint"]
@@ -108,15 +132,32 @@ def bench_pair(workload: str, tool: str, category: str, trials: int,
     for c in configs:
         c["instruction_reduction_vs_cold"] = round(
             cold["instructions_simulated"] / c["instructions_simulated"], 3)
+        # The trial phase alone: what its runs would have simulated
+        # without checkpoints over what they simulated, split into the
+        # factor of the prefix skip and that of the convergence exit
+        # (their product).
+        trial = c["instructions_simulated"] - c["prep_instructions"]
+        resumed = trial + c["tail_skipped"]
+        c["trial_reduction"] = round(
+            (resumed + c["prefix_skipped"]) / trial, 3)
+        c["prefix_factor"] = round(
+            (resumed + c["prefix_skipped"]) / resumed, 3)
+        c["convergence_factor"] = round(resumed / trial, 3)
         c["speedup_vs_cold"] = round(cold["seconds"] / c["seconds"], 3)
         del c["fingerprint"]  # bulky; the verdict is what matters
+    auto = configs[3]
     return {
         "golden_instructions": n,
         "configs": configs,
         "bit_identical": identical,
         "manifests_match": all(c.get("manifest_matches", True)
                                for c in configs),
-        "reduction_at_default": configs[2]["instruction_reduction_vs_cold"],
+        # One recording run, unless the program is too short for the
+        # provisional stride (then it is recorded again at N // 20).
+        "auto_prep_one_run": (auto["prep_runs"] == 1
+                              or n // 20 < PROVISIONAL_STRIDE),
+        "converged_runs": sum(c["converged_runs"] for c in configs[1:]),
+        "reduction_at_default": auto["instruction_reduction_vs_cold"],
     }
 
 
@@ -138,6 +179,8 @@ def main() -> None:
     workloads = {}
     all_identical = True
     manifests_match = True
+    auto_one_run = True
+    converged = 0
     reductions = []
     for workload in args.benchmarks:
         workloads[workload] = {}
@@ -147,10 +190,19 @@ def main() -> None:
             workloads[workload][tool] = cell
             all_identical = all_identical and cell["bit_identical"]
             manifests_match = manifests_match and cell["manifests_match"]
+            auto_one_run = auto_one_run and cell["auto_prep_one_run"]
+            converged += cell["converged_runs"]
             reductions.append(cell["reduction_at_default"])
             print(f"{workload}/{tool}: golden={cell['golden_instructions']} "
-                  f"reduction@N/20={cell['reduction_at_default']}x "
+                  f"reduction@auto={cell['reduction_at_default']}x "
                   f"identical={cell['bit_identical']}")
+            for c in cell["configs"]:
+                print(f"  {c['label']:>5}: prep runs {c['prep_runs']}, "
+                      f"converged {c['converged_runs']} runs "
+                      f"({c['tail_skipped']} tail instr skipped), "
+                      f"trial reduction {c['trial_reduction']}x = "
+                      f"prefix {c['prefix_factor']}x * convergence "
+                      f"{c['convergence_factor']}x")
 
     summary = {
         "benchmark": "checkpoint_resume",
@@ -160,6 +212,8 @@ def main() -> None:
         "workloads": workloads,
         "bit_identical": all_identical,
         "manifests_match": manifests_match,
+        "auto_prep_one_run": auto_one_run,
+        "converged_runs": converged,
         "min_reduction_at_default": min(reductions),
     }
     with open(args.output, "w") as f:
@@ -174,6 +228,13 @@ def main() -> None:
         raise SystemExit("manifest accounting violation: per-trial "
                          "instruction sums do not reproduce the injector "
                          "totals")
+    if not auto_one_run:
+        raise SystemExit("preparation violation: the automatic stride "
+                         "took more than one run on a program long enough "
+                         "for the provisional stride")
+    if not converged:
+        raise SystemExit("convergence violation: no checkpointed "
+                         "configuration converged any injection run")
 
 
 if __name__ == "__main__":

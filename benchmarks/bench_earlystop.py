@@ -1,4 +1,4 @@
-"""Adaptive early stopping: trials saved, wall-clock, and bucket hit rate.
+"""Adaptive early stopping: trials saved, wall-clock, and restore costs.
 
     PYTHONPATH=src python benchmarks/bench_earlystop.py --trials 48
 
@@ -18,12 +18,14 @@ contracts the optimisation rests on and exits non-zero on any violation:
   its own margin target (``repro.obs.report.validate_stop_claims``);
 * **manifest accounting** — prep + per-trial instructions must re-derive
   the injector's ``instructions_simulated`` total;
-* **bucket sharing** — checkpoint-bucketed scheduling must decode each
-  snapshot at most once per campaign: strictly fewer decodes than
-  executed trials.
+* **span restores** — checkpointed cells must restore from checkpoints
+  and decode nothing: a scalar trial builds its address space from the
+  snapshot's payload spans, never from a full-size decoded image (only
+  batched groups decode).
 
 Writes ``BENCH_earlystop.json`` with per-cell n_stop, the aggregate
-trials-saved factor, wall-clock speedup and the decode-cache hit rate.
+trials-saved factor, wall-clock speedup and the restore and decode
+counts.
 At paper scale (``--trials 1000 --ci-margin 0.03``) the aggregate saving
 across the category grid is the headline number; the small default scale
 is a CI smoke configuration of the same gates.
@@ -123,8 +125,8 @@ def bench_cell(workload: str, tool: str, built, category: str,
         "seconds_adaptive": round(adaptive["seconds"], 4),
         "instructions_full": full["instructions_simulated"],
         "instructions_adaptive": adaptive["instructions_simulated"],
+        "ckpt_restores": adaptive["injector"].ckpt_restores,
         "snapshot_decodes": store.decode_count if store else 0,
-        "decoded_restores": store.decoded_restores if store else 0,
         "prefix_identical": prefix_identical,
         "stop_valid": not stop_problems,
         "stop_problems": stop_problems,
@@ -180,7 +182,7 @@ def main() -> None:
                 full_seconds += cell["seconds_full"]
                 adaptive_seconds += cell["seconds_adaptive"]
                 total_decodes += cell["snapshot_decodes"]
-                total_restores += cell["decoded_restores"]
+                total_restores += cell["ckpt_restores"]
                 if not cell["prefix_identical"]:
                     violations.append(f"{name}: adaptive result is not the "
                                       f"trials={cell['n_stop']} prefix run")
@@ -190,12 +192,13 @@ def main() -> None:
                 if not cell["manifest_accounting_ok"]:
                     violations.append(f"{name}: manifest instruction totals "
                                       f"do not reproduce the injector's")
-                if cell["snapshot_decodes"] >= cell["n_stop"] \
-                        and cell["decoded_restores"] > 0:
-                    violations.append(f"{name}: {cell['snapshot_decodes']} "
-                                      f"snapshot decodes for "
-                                      f"{cell['n_stop']} trials — bucket "
-                                      f"sharing is not happening")
+                if not cell["ckpt_restores"] or cell["snapshot_decodes"]:
+                    violations.append(f"{name}: {cell['ckpt_restores']} "
+                                      f"checkpoint restores and "
+                                      f"{cell['snapshot_decodes']} snapshot "
+                                      f"decodes — scalar trials must "
+                                      f"restore from spans, decoding "
+                                      f"nothing")
             # The paper's verdict: do the tools' CIs overlap, per outcome?
             for outcome in VERDICT_OUTCOMES:
                 key = outcome.value
@@ -236,10 +239,8 @@ def main() -> None:
         "adaptive_seconds": round(adaptive_seconds, 3),
         "wall_speedup": round(full_seconds / adaptive_seconds, 3)
         if adaptive_seconds else None,
+        "ckpt_restores": total_restores,
         "snapshot_decodes": total_decodes,
-        "decoded_restores": total_restores,
-        "bucket_hit_rate": round(1 - total_decodes / total_restores, 4)
-        if total_restores else None,
         "verdict_cells": verdict_cells,
         "verdict_matches": verdict_matches,
         "verdicts_identical": verdict_matches == verdict_cells,

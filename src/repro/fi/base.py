@@ -11,18 +11,22 @@ other step is defined once, here:
   one of each per injector instead of one per (tool, category) cell, and
   the per-instruction reference count (``count_dynamic_candidates``);
 * the **checkpoint policy** (``configure_checkpoints`` /
-  ``ensure_checkpoints``): the recording run doubles as golden + profiling
-  pass and its :class:`~repro.vm.snapshot.CheckpointStore` lets every
-  injection run skip its fault-free prefix;
-* the **injection run** (``_inject``: build the engine, resume from a
-  checkpoint, run, account) and the **batched first attempts**
-  (``run_batch``: one shared sweep, copy-on-write lanes, see
-  :mod:`repro.vm.batch`);
+  ``ensure_checkpoints``): one recording run doubles as golden +
+  profiling pass — at the automatic stride too, which records at a
+  provisional stride and thins once the run's length is known — and its
+  :class:`~repro.vm.snapshot.CheckpointStore` lets every injection run
+  skip its fault-free prefix and stop once it has converged back onto
+  the golden run;
+* the **injection run** (``_inject``: build the engine on the never-run
+  template over the checkpoint's memory spans, arm the convergence
+  probe, run, account) and the **batched first attempts** (``run_batch``:
+  one shared sweep, copy-on-write lanes, see :mod:`repro.vm.batch`);
 * the **trigger** of an injection hook (:class:`InjectionHook`: fire at
   the k-th dynamic candidate, ``repeat`` times, compiled-span safety);
 * **run accounting** (``executions``, ``instructions_simulated``,
-  ``ckpt_restores``, ``ckpt_instructions_skipped``), mirrored into the
-  active :mod:`repro.obs` recorder.
+  ``ckpt_restores``, ``ckpt_instructions_skipped``, ``converged_runs``,
+  ``converged_instructions``), mirrored into the active :mod:`repro.obs`
+  recorder.
 
 Subclasses provide what the paper says differs: candidate selection (the
 per-category id sets, built in their constructor), :meth:`_engine` (a
@@ -49,7 +53,9 @@ from repro.vm.asmsim import AsmHook
 from repro.vm.batch import BatchStats
 from repro.vm.irinterp import InterpHook
 from repro.vm.result import ExecutionResult
-from repro.vm.snapshot import CheckpointStore
+from repro.vm.snapshot import (
+    CheckpointStore, capture_memory, memory_from_images, record_checkpoints,
+)
 
 
 @dataclass
@@ -255,6 +261,10 @@ class BaseInjector(ABC):
         self.ckpt_restores = 0
         #: Golden-prefix instructions skipped via checkpoint restores.
         self.ckpt_instructions_skipped = 0
+        #: Injection runs that stopped at golden-state convergence, and
+        #: the golden tail instructions they did not simulate.
+        self.converged_runs = 0
+        self.converged_instructions = 0
         #: Requested checkpoint stride: 0 = off, <0 = auto (~N/20 of the
         #: golden instruction count), >0 = explicit instruction stride.
         self.checkpoint_request = 0
@@ -277,10 +287,13 @@ class BaseInjector(ABC):
         self._checkpoints_request = 0
         self._golden_result: Optional[ExecutionResult] = None
         self._dynamic_counts: Optional[Dict[str, int]] = None
-        #: Lazily built batch-execution template: a never-run engine whose
-        #: shared tables every sweep and lane reuses, and its pristine
-        #: cold-start memory image (see run_batch).
+        #: Lazily built never-run engine whose shared tables (global
+        #: addresses, function records, poison metadata) every injection
+        #: run, sweep and lane reuses, and its cold-start memory spans.
         self._template = None
+        self._pristine_spans = None
+        #: Full-size cold-start image of the template: batched groups only
+        #: (their copy-on-write lanes read it; see run_batch).
         self._pristine = None
 
     @property
@@ -336,7 +349,9 @@ class BaseInjector(ABC):
                      ) -> Tuple[ExecutionResult, Dict[str, int]]:
         """One run with the every-category candidate counter; when
         ``store`` is given, record checkpoints (annotated with the live
-        counts) into it at its stride."""
+        counts) into it at its stride.  The sink closes over the store
+        and the counter, never the engine: a provisional store hands the
+        engine its doubled stride as the sink's return value."""
         counter = CandidateCounter(self._candidate_ids)
         kwargs = {}
         if store is not None:
@@ -355,21 +370,42 @@ class BaseInjector(ABC):
                 ) -> Tuple[ExecutionResult, Optional[FaultRecord], bool]:
         """One injection run (the body of both tools' ``run_with_fault``).
 
-        With checkpoints enabled the run resumes from the last golden
+        The engine shares the never-run template's tables and gets a
+        fresh address space holding only the payload spans of the state
+        it starts from.  With checkpoints enabled that is the last golden
         checkpoint before the k-th dynamic candidate; the fault-free
         prefix is provably bit-identical to the golden run, so the
         resumed trial matches a cold-start trial exactly (the RNG is only
         consumed at the injection point, and the hook resumes counting
-        from the checkpoint's candidate count)."""
+        from the checkpoint's candidate count).  The later checkpoints
+        arm the convergence exit: a run whose state equals one of them
+        once its fault is spent returns the golden result from there (see
+        :class:`~repro.vm.snapshot.ConvergenceProbe`)."""
         hook = self._injection_hook(category, k, model or SingleBitFlip(),
                                     rng)
+        template = self._trial_template()
+        store = self.ensure_checkpoints()
+        index = store.index_before(category, k) if store is not None \
+            else None
+        checkpoint = store[index] if index is not None else None
+        images = (checkpoint.snapshot.memory if checkpoint is not None
+                  else self._pristine_spans)
         engine = self._engine(
             hook, max_instructions or self.default_max_instructions,
-            hook_filter=hook.candidate_ids)
-        skipped = self._resume_from_checkpoint(engine, hook, category, k)
+            hook_filter=hook.candidate_ids, template=template,
+            memory=memory_from_images(images))
+        skipped = 0
+        if checkpoint is not None:
+            engine.restore(checkpoint.snapshot, skip_memory=True)
+            hook.count = checkpoint.counts[category]
+            skipped = checkpoint.snapshot.executed
+        if store is not None:
+            engine.probe(store.snapshots, 0 if index is None else index + 1,
+                         store.final)
         result = engine.run()
         self._absorb_compile(engine)
-        self._account_run(result, skipped)
+        self._account_run(result, skipped,
+                          tail=result.instructions - engine.executed)
         if hook.record is None:
             raise FaultInjectionError(
                 f"dynamic instance {k} was never reached "
@@ -415,15 +451,25 @@ class BaseInjector(ABC):
         return stats
 
     # -- run accounting ------------------------------------------------------
-    def _account_run(self, result: ExecutionResult, skipped: int = 0) -> None:
+    def _account_run(self, result: ExecutionResult, skipped: int = 0,
+                     tail: Optional[int] = None) -> None:
         """Book one whole-program run: local counters plus the active
-        observability recorder (a no-op singleton unless tracing)."""
+        observability recorder (a no-op singleton unless tracing).
+
+        A run simulates ``result.instructions`` minus the ``skipped``
+        checkpoint prefix minus, for an injection run (``tail`` not
+        None), the golden tail it did not simulate after converging."""
         self.executions += 1
-        simulated = result.instructions - skipped
+        injection = tail is not None
+        tail = tail or 0
+        simulated = result.instructions - skipped - tail
         self.instructions_simulated += simulated
         if skipped:
             self.ckpt_restores += 1
             self.ckpt_instructions_skipped += skipped
+        if tail:
+            self.converged_runs += 1
+            self.converged_instructions += tail
         rec = get_recorder()
         if rec.enabled:
             rec.incr(f"injector.{self.name}.runs")
@@ -431,6 +477,11 @@ class BaseInjector(ABC):
             if skipped:
                 rec.incr(f"injector.{self.name}.ckpt_restores")
                 rec.incr(f"injector.{self.name}.ckpt_skipped", skipped)
+            if injection:
+                rec.incr(f"injector.{self.name}.converged",
+                         1 if tail else 0)
+                rec.incr(f"injector.{self.name}.converged_instructions",
+                         tail)
 
     def _account_batch_sweep(self, instructions: int) -> None:
         """Book one batch sweep: its instructions are simulated once on
@@ -448,24 +499,25 @@ class BaseInjector(ABC):
                             fork_skipped: int) -> None:
         """Book one forked lane: an ordinary run whose skipped prefix is
         its fork boundary (a restore from the sweep instead of from a
-        recorded checkpoint)."""
-        self._account_run(result, skipped=fork_skipped)
+        recorded checkpoint).  Lanes never take the convergence exit."""
+        self._account_run(result, skipped=fork_skipped, tail=0)
         self.batch_lanes += 1
         rec = get_recorder()
         if rec.enabled:
             rec.incr(f"injector.{self.name}.batch_lanes")
 
-    # -- batched execution ---------------------------------------------------
-    def _batch_template(self):
-        """Never-run engine providing the tables every sweep and lane
-        shares (global addresses, function records, poison metadata),
-        with its pristine cold-start memory image in ``_pristine``."""
+    def _trial_template(self):
+        """Never-run engine providing the tables every injection run,
+        sweep and lane shares (global addresses, function records, poison
+        metadata), with its cold-start memory spans in
+        ``_pristine_spans``."""
         if self._template is None:
             engine = self._engine(None, self.default_max_instructions)
             self._template = engine
-            self._pristine = vm_batch.pristine_image_of(engine)
+            self._pristine_spans = capture_memory(engine.memory)
         return self._template
 
+    # -- batched execution ---------------------------------------------------
     def _scalar_first(self, category: str, request: BatchRequest,
                       model: Optional[FaultModel],
                       max_instructions: Optional[int]) -> FirstAttempt:
@@ -504,7 +556,9 @@ class BaseInjector(ABC):
             if checkpoint is not None:
                 images = store.decoded_memory(checkpoint)
                 base_count = checkpoint.counts[category]
-        template = self._batch_template()
+        template = self._trial_template()
+        if self._pristine is None:
+            self._pristine = vm_batch.pristine_image_of(template)
         lane_runs, detached, stats = vm_batch.run_batch(
             template, requests,
             candidate_ids=self._candidate_ids[category],
@@ -612,11 +666,21 @@ class BaseInjector(ABC):
 
         The recording run executes the whole program once with the
         every-category :class:`CandidateCounter`, so it doubles as the
-        golden run and the profiling pass: with an explicit stride a fresh
-        injector makes one preparation run instead of two.  It runs
-        block-compiled (unless ``compile_enabled`` is off), so each
-        checkpoint lands on the first compiled-segment boundary at or past
-        its stride mark.
+        golden run and the profiling pass: a fresh injector makes one
+        preparation run instead of two.  It runs block-compiled (unless
+        ``compile_enabled`` is off), so each checkpoint lands on the
+        first compiled-segment boundary at or past its stride mark.
+
+        The automatic stride (a negative request) needs the run's length
+        N, which only the run itself tells: it records at a provisional
+        stride that doubles as the store fills, then keeps the first
+        checkpoint at or past each multiple of ``N // 20``
+        (:func:`~repro.vm.snapshot.record_checkpoints`).  A program
+        shorter than 20 provisional strides is re-recorded at ``N // 20``
+        — the provisional checkpoints are too sparse for it — so it pays
+        two runs, as it did when a golden run measured N first; an
+        injector that already knows N (an adopted prep artifact) records
+        it once.
         """
         request = self.checkpoint_request
         if request == 0:
@@ -624,38 +688,22 @@ class BaseInjector(ABC):
         if self._checkpoints is not None \
                 and self._checkpoints_request == request:
             return self._checkpoints
-        stride = request
-        if stride < 0:
-            stride = max(1, self.golden_cached().instructions // 20)
-        store = CheckpointStore(stride)
-        result, counts = self._counted_run(
-            max_instructions or self.default_max_instructions, store)
-        self._account_prep(result, "checkpoint recording")
-        if self._golden_result is None:
-            self._golden_result = result
-        if self._dynamic_counts is None:
-            self._dynamic_counts = counts
+        budget = max_instructions or self.default_max_instructions
+
+        def record(store: CheckpointStore) -> ExecutionResult:
+            # One recording run, booked as a preparation run; its result
+            # and counts fill the golden and profiling memos.
+            result, counts = self._counted_run(budget, store)
+            self._account_prep(result, "checkpoint recording")
+            if self._golden_result is None:
+                self._golden_result = result
+            if self._dynamic_counts is None:
+                self._dynamic_counts = counts
+            return result
+
+        golden = self._golden_result
+        store = record_checkpoints(
+            record, request, golden.instructions if golden else None)
         self._checkpoints = store
         self._checkpoints_request = request
         return store
-
-    def _resume_from_checkpoint(self, engine, hook, category: str,
-                                k: int) -> int:
-        """Restore the latest golden checkpoint strictly before dynamic
-        instance ``k`` into ``engine`` (if any), sync the injection hook's
-        candidate count, and return the skipped instruction count.
-
-        Memory is restored from the store's shared decoded image of the
-        snapshot: the store expands each snapshot once and every trial in
-        its (category, checkpoint) bucket copies from that decode instead
-        of re-deriving the full region contents per trial."""
-        store = self.ensure_checkpoints()
-        if store is None:
-            return 0
-        checkpoint = store.best_for(category, k)
-        if checkpoint is None:
-            return 0
-        engine.restore(checkpoint.snapshot,
-                       memory_images=store.decoded_memory(checkpoint))
-        hook.count = checkpoint.counts[category]
-        return checkpoint.snapshot.executed

@@ -50,12 +50,15 @@ same cache entry — and is still independent of ``jobs``.  With
 
 Within a round, slots are executed in **checkpoint-bucket order**
 (:func:`order_round`): grouped by the golden checkpoint their first
-attempt restores from, so consecutive trials share one decoded snapshot
-image (see :meth:`repro.vm.snapshot.CheckpointStore.decoded_memory`)
-instead of re-expanding it per trial.  The bucket key is computed from a
-fresh copy of each slot's stream without consuming the one the trial
-uses, so bucketing is pure scheduling: it never changes any slot's
-randomness, and the aggregate sorts by slot index anyway.
+attempt restores from.  Batch groups are cut from these buckets, so a
+group's lanes share one decoded snapshot image (see
+:meth:`repro.vm.snapshot.CheckpointStore.decoded_memory`); a scalar
+trial builds its memory from the snapshot's spans and decodes nothing,
+so for scalar trials the order is only a deterministic schedule.  The
+bucket key is computed from a fresh copy of each slot's stream without
+consuming the one the trial uses, so bucketing is pure scheduling: it
+never changes any slot's randomness, and the aggregate sorts by slot
+index anyway.
 
 One round barrier, several executors
 ------------------------------------
@@ -366,11 +369,14 @@ def prepare_campaign(injector: BaseInjector, category: str,
                      config: CampaignConfig) -> CampaignSetup:
     """Golden + profiling phase. Both are memoised on the injector, so
     repeated campaigns over the same injector (different categories,
-    seeds or trial counts) re-use one golden run and one profiling pass."""
+    seeds or trial counts) re-use one golden run and one profiling pass.
+    With checkpoints on, the recording run is both: a fresh injector is
+    prepared in one run at any stride, the automatic one included
+    (programs shorter than 20 provisional strides take two)."""
     injector.compile_enabled = not config.no_compile
     injector.configure_checkpoints(config.checkpoint_stride)
-    # With an explicit stride the recording run doubles as the golden run
-    # and the profiling pass, so this adds no whole-program executions.
+    # The recording run fills the golden and profiling memos, so the two
+    # calls below add no whole-program executions when it ran.
     injector.ensure_checkpoints()
     golden = injector.golden_cached()
     if not golden.completed:
@@ -558,7 +564,7 @@ def slot_checkpoint_bucket(injector: BaseInjector, category: str,
     (streams are pure functions of the seed), so the stream the trial
     itself consumes is untouched — bucketing is a scheduling hint, not
     part of the procedure.  Redraws may resolve to other checkpoints;
-    that only costs decode-cache hits, never correctness."""
+    that never affects correctness."""
     store = injector.ensure_checkpoints()
     if store is None:
         return -1
@@ -596,8 +602,9 @@ def order_round(injector: BaseInjector, category: str, setup: CampaignSetup,
     Returns them reordered bucket by bucket (cold starts first, then
     ascending checkpoint index; ascending slot index within a bucket —
     fully deterministic) plus one manifest ``bucket`` record per
-    non-empty bucket.  Restores within a bucket then hit one shared
-    decoded snapshot image instead of expanding it per trial."""
+    non-empty bucket.  Scalar trials restore from their snapshot's
+    spans, so the order decides nothing but the schedule; batch groups
+    (:func:`order_round_batches`) share one decoded image per bucket."""
     buckets, records = _buckets(injector, category, setup, config,
                                 round_no, indices)
     return [index for _, slots in buckets for index in slots], records

@@ -49,6 +49,11 @@ def summarize(manifest: RunManifest) -> dict:
     skipped = manifest.total_skipped()
     restores = sum(t["ckpt_restores"] for t in trials)
     counters = s.get("counters") or {}
+    # The golden tails converged runs did not simulate (an injector
+    # counter, absent from manifests written before the convergence
+    # exit).
+    converged = counters.get(f"injector.{h['tool']}.converged", 0)
+    tail = counters.get(f"injector.{h['tool']}.converged_instructions", 0)
     comp = s.get("compile") or {}
     shard_busy: dict = {}
     for shard in manifest.shards:
@@ -82,9 +87,12 @@ def summarize(manifest: RunManifest) -> dict:
         "total_instructions": manifest.total_instructions(),
         "ckpt_restores": restores,
         "ckpt_skipped": skipped,
+        "converged": converged,
+        "converged_instructions": tail,
         # What the same trials would have simulated without checkpoint
-        # resume, over what they actually simulated.
-        "ckpt_reduction": ((trial_instr + skipped) / trial_instr
+        # resume (the skipped prefixes and the converged tails), over
+        # what they actually simulated.
+        "ckpt_reduction": ((trial_instr + skipped + tail) / trial_instr
                            if trial_instr else 1.0),
         "workers": {str(pid): w for pid, w in sorted(workers.items())},
         "worker_balance": (min(busy) / max(busy)
@@ -193,12 +201,12 @@ def render(summaries: List[dict]) -> str:
 
     ckpt_rows = [[
         s["cell"], s["golden_instructions"], s["trial_instructions"],
-        s["ckpt_restores"], s["ckpt_skipped"],
-        f"{s['ckpt_reduction']:.2f}x",
+        s["ckpt_restores"], s["ckpt_skipped"], s["converged"],
+        s["converged_instructions"], f"{s['ckpt_reduction']:.2f}x",
     ] for s in summaries]
     sections.append(format_table(
         ["Cell", "Golden instr", "Trial instr", "Restores", "Skipped",
-         "Reduction"],
+         "Converged", "Tail skipped", "Reduction"],
         ckpt_rows,
         title="Checkpoint savings (simulated instructions)"))
 

@@ -11,10 +11,12 @@ the list of :class:`Divergence` it found (empty = all layers agree):
 * **pass pipeline** — the full -O1-ish pipeline vs -O0, both on the IR
   interpreter. A mismatch is localized to the first pipeline prefix
   whose behaviour differs from -O0.
-* **checkpoint-restore** — a recording run at a couple of strides, with
-  block compilation on and off, then resume from the first/middle/last
-  snapshot on both engines; every resumed run must finish bit-identically
-  to the cold run (including total instruction count).
+* **checkpoint-restore** — a recording run at a couple of strides and
+  the automatic policy, with block compilation on and off, then resume
+  from the first/middle/last snapshot on both engines; every resumed run
+  must finish bit-identically to the cold run (including total
+  instruction count), and once more with the convergence probe armed,
+  which must stop the fault-free run at the next recorded checkpoint.
 * **campaign determinism** (off by default: it runs real injection
   trials) — the generated program registered as a temporary workload,
   then ``jobs=1`` vs ``jobs=2`` and ``checkpoint_stride=-1`` vs ``0``
@@ -36,6 +38,7 @@ from repro.minic import compile_source
 from repro.vm.asmsim import AsmSimulator
 from repro.vm.irinterp import IRInterpreter
 from repro.vm.result import ExecutionResult
+from repro.vm.snapshot import CheckpointStore, record_checkpoints
 
 #: The default pipeline's pass order, used for mismatch localization.
 _PIPELINE = ("simplifycfg", "inline", "mem2reg", "constfold", "dce",
@@ -70,8 +73,9 @@ class OracleConfig:
     #: hold per model, not just for the paper's bitflip).
     campaign_fault_model: Optional[str] = None
     #: Strides are primes so checkpoints land at "awkward" points (mid
-    #: loop, mid call stack) rather than aligning with loop trip counts.
-    checkpoint_strides: Tuple[int, ...] = (97, 463)
+    #: loop, mid call stack) rather than aligning with loop trip counts;
+    #: -1 is the automatic policy (provisional stride, then N // 20).
+    checkpoint_strides: Tuple[int, ...] = (97, 463, -1)
     campaign_trials: int = 6
     campaign_seed: int = 20140623
     #: Execution cap for every oracle run. Generated programs terminate
@@ -221,32 +225,66 @@ class Oracle:
                 for compiled in (True, False):
                     how = f"stride {stride}, " + (
                         "compiled" if compiled else "scalar")
-                    snaps: List = []
-                    recorded = make(checkpoint_stride=stride,
-                                    checkpoint_sink=snaps.append,
-                                    compile_blocks=compiled).run()
-                    if (_fingerprint(recorded) != _fingerprint(cold)
-                            or recorded.instructions != cold.instructions):
-                        self._report(
-                            "checkpoint",
-                            f"{name}: recording run ({how}) != cold run: "
-                            f"{_diff(cold, recorded, 'cold', 'rec')}")
-                        continue
-                    if not snaps:
-                        continue
-                    picks = {0, len(snaps) // 2, len(snaps) - 1}
-                    for i in sorted(picks):
-                        engine = make()
-                        engine.restore(snaps[i])
-                        resumed = engine.run()
-                        if (_fingerprint(resumed) != _fingerprint(cold)
-                                or resumed.instructions
-                                != cold.instructions):
-                            self._report(
-                                "checkpoint",
-                                f"{name}: resume at executed="
-                                f"{snaps[i].executed} ({how}) != cold: "
-                                f"{_diff(cold, resumed, 'cold', 'res')}")
+                    self._check_recording(name, cold, make, stride,
+                                          compiled, how)
+
+    def _check_recording(self, name: str, cold: ExecutionResult,
+                         make: Callable, stride: int, compiled: bool,
+                         how: str) -> None:
+        """Record at ``stride`` (-1: the automatic policy), then resume the
+        first, middle and last snapshot twice: plainly, and with the
+        convergence probe armed, which must stop the fault-free run at
+        the next recorded checkpoint with the golden result."""
+        diverged = []
+
+        def record(store: CheckpointStore) -> ExecutionResult:
+            recorded = make(
+                checkpoint_stride=store.stride,
+                checkpoint_sink=lambda snap: store.record(snap, {}),
+                compile_blocks=compiled).run()
+            if (_fingerprint(recorded) != _fingerprint(cold)
+                    or recorded.instructions != cold.instructions):
+                diverged.append(recorded)
+            return recorded
+
+        store = record_checkpoints(record, stride)
+        if diverged:
+            self._report(
+                "checkpoint",
+                f"{name}: recording run ({how}) != cold run: "
+                f"{_diff(cold, diverged[0], 'cold', 'rec')}")
+            return
+        snaps = store.snapshots
+        for i in sorted({0, len(snaps) // 2, len(snaps) - 1} if snaps
+                        else ()):
+            engine = make()
+            engine.restore(snaps[i])
+            resumed = engine.run()
+            if (_fingerprint(resumed) != _fingerprint(cold)
+                    or resumed.instructions != cold.instructions):
+                self._report(
+                    "checkpoint",
+                    f"{name}: resume at executed={snaps[i].executed} "
+                    f"({how}) != cold: "
+                    f"{_diff(cold, resumed, 'cold', 'res')}")
+            # A scalar run taps every instruction boundary, so it lands on
+            # the next checkpoint whichever way it was recorded.
+            engine = make(compile_blocks=False)
+            engine.restore(snaps[i])
+            engine.probe(snaps, i + 1, store.final)
+            probed = engine.run()
+            stop = snaps[i + 1].executed if i + 1 < len(snaps) \
+                else probed.instructions
+            if (_fingerprint(probed) != _fingerprint(cold)
+                    or probed.instructions != cold.instructions
+                    or engine.executed != stop
+                    or engine.converged != (i + 1 < len(snaps))):
+                self._report(
+                    "checkpoint",
+                    f"{name}: probed resume at executed="
+                    f"{snaps[i].executed} ({how}) stopped at "
+                    f"{engine.executed}, expected {stop}: "
+                    f"{_diff(cold, probed, 'cold', 'probe')}")
 
     # -- campaign determinism --------------------------------------------------
 

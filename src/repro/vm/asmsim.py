@@ -25,7 +25,7 @@ what lets fault-injection trials skip their fault-free prefix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.backend.machine import (
@@ -40,7 +40,8 @@ from repro.vm.io import OutputBuffer
 from repro.vm.memory import BumpAllocator, STACK_TOP
 from repro.vm.result import ExecutionResult
 from repro.vm.snapshot import (
-    MachineSnapshot, capture_memory, restore_memory, restore_memory_decoded,
+    Converged, ConvergenceProbe, MachineSnapshot, capture_memory,
+    memory_matches, restore_memory,
 )
 from repro.vm.traps import HangTimeout, Trap, TrapKind
 
@@ -141,10 +142,15 @@ class AsmSimulator:
         self.last_read: Optional[Tuple[int, int, int]] = None
 
         #: Checkpoint recording: every ``checkpoint_stride`` retired
-        #: instructions (0 = off), pass a MachineSnapshot to the sink.
+        #: instructions (0 = off), pass a MachineSnapshot to the sink; a
+        #: sink may return a new stride (a provisional recording).
         self._checkpoint_stride = checkpoint_stride
         self._checkpoint_sink = checkpoint_sink
         self._next_checkpoint = checkpoint_stride
+        self._probe: Optional[ConvergenceProbe] = None
+        #: Set when run() returned through the convergence exit; the run
+        #: simulated up to ``executed`` and reports the golden result.
+        self.converged = False
         #: Set by restore(): where run() continues instead of ``main``.
         self._resume_loc: Optional[_Loc] = None
 
@@ -190,6 +196,8 @@ class AsmSimulator:
         #: or past its stride mark (and on the exact mark when scalar).
         self._recording = (checkpoint_sink is not None
                            and checkpoint_stride > 0)
+        #: Boundary tap: armed while recording or probing (see probe()).
+        self._tap = self._recording
         self._compiling = compile_blocks
         self._block_cache = cache_for(program) if self._compiling else None
         #: Runtime counters: straight-line runs executed compiled vs runs
@@ -251,25 +259,16 @@ class AsmSimulator:
             })
 
     def restore(self, snapshot: MachineSnapshot,
-                memory_images=None, skip_memory: bool = False) -> None:
+                skip_memory: bool = False) -> None:
         """Load a snapshot; the next run() continues from its boundary
         instead of entering ``main``.  The snapshot is not consumed — any
         number of simulators may restore from the same one.
 
-        ``memory_images`` — pre-expanded full-size region bytes (from
-        :meth:`repro.vm.snapshot.CheckpointStore.decoded_memory`) shared
-        across restores of this snapshot; bit-identical to the span-wise
-        restore, just cheaper.
-
-        ``skip_memory`` — leave ``self.memory`` untouched (batched lanes
-        already hold a COW fork of the right bytes)."""
+        ``skip_memory`` — leave ``self.memory`` untouched (the simulator
+        was built over memory that already holds the snapshot's bytes: an
+        injection run's span-built memory or a batched lane's COW fork)."""
         state = snapshot.state
-        if skip_memory:
-            pass
-        elif memory_images is not None:
-            restore_memory_decoded(self.memory, snapshot.memory,
-                                   memory_images)
-        else:
+        if not skip_memory:
             restore_memory(self.memory, snapshot.memory)
         self.heap.restore(snapshot.heap)
         self.output.restore(snapshot.output)
@@ -285,8 +284,52 @@ class AsmSimulator:
         self._resume_loc = _Loc(self.funcs[func_name], block, index)
 
     def _take_checkpoint(self, loc: _Loc) -> None:
-        self._checkpoint_sink(self.capture(loc))
+        probe = self._probe
+        if probe is not None:
+            mark = probe.due(self.executed)
+            if mark is not None and self._converged_on(mark, loc):
+                raise Converged
+            self._next_checkpoint = probe.next_executed()
+            return
+        stride = self._checkpoint_sink(self.capture(loc))
+        if stride:
+            self._checkpoint_stride = stride
         self._next_checkpoint = self.executed + self._checkpoint_stride
+
+    # -- convergence exit ------------------------------------------------------
+    def probe(self, marks: Sequence[MachineSnapshot], first: int,
+              final: ExecutionResult) -> None:
+        """Arm the convergence exit for the next run(): at each of the
+        golden ``marks[first:]`` it lands on, the run stops and returns
+        ``final`` (the golden result) if its state equals the mark (see
+        :class:`~repro.vm.snapshot.ConvergenceProbe`).  Not armed when
+        the golden run would not fit this run's budget — then the run
+        itself must hang."""
+        if first >= len(marks) or final.instructions > self.max_instructions:
+            return
+        self._probe = ConvergenceProbe(marks, first, final)
+        self._tap = True
+        self._next_checkpoint = marks[first].executed
+
+    def _converged_on(self, mark: MachineSnapshot, loc: _Loc) -> bool:
+        """Whether the run may exit at ``mark``: the hook will never act
+        again, no poisoned target is left to activate, and the state
+        equals the mark bit for bit — cheap fields first, memory last."""
+        hook = self.hook
+        if hook is not None and not hook.finished:
+            return False
+        if self.poison and not self.fault_activated:
+            return False
+        state = mark.state
+        return (self.call_depth == mark.call_depth
+                and (loc.func.name, loc.block, loc.index) == state["loc"]
+                and self.flags == state["flags"]
+                and self.regs == state["regs"]
+                and self.xmm == state["xmm"]
+                and self._site_tokens == state["site_tokens"]
+                and self.heap.checkpoint() == mark.heap
+                and self.output.checkpoint() == mark.output
+                and memory_matches(self.memory, mark.memory))
 
     # -- top level -----------------------------------------------------------------
     def run(self, entry: str = "main") -> ExecutionResult:
@@ -294,6 +337,9 @@ class AsmSimulator:
             exit_value = self._execute(entry)
             outcome = ExecutionResult("ok", None, self.output.text(),
                                       self.executed, exit_value)
+        except Converged:
+            self.converged = True
+            outcome = self._probe.final
         except Trap as trap:
             # Keep no traceback: its frames would tie this simulator (and
             # its address space) into a cycle with the stored result.
@@ -337,7 +383,7 @@ class AsmSimulator:
         hook_filter = self.hook_filter
         segment_counts = hook.segment_counts if hook is not None else None
         ops = self._ops
-        recording = self._recording
+        tap = self._tap
         while True:
             insts = loc.func.blocks[loc.block]
             while loc.index >= len(insts):
@@ -367,8 +413,7 @@ class AsmSimulator:
                         cache.asm[key] = (cb if cb is not None
                                           else UNCOMPILABLE)
                     if cb is not None and cb is not UNCOMPILABLE:
-                        if recording and \
-                                self.executed >= self._next_checkpoint:
+                        if tap and self.executed >= self._next_checkpoint:
                             self._take_checkpoint(loc)
                         if hook is None or hook.finished:
                             pass  # plain variant is exact
@@ -401,7 +446,7 @@ class AsmSimulator:
             # line, then hand back to the outer loop (which may compile
             # the next one).
             while True:
-                if recording and self.executed >= self._next_checkpoint:
+                if tap and self.executed >= self._next_checkpoint:
                     self._take_checkpoint(loc)
                 inst = insts[loc.index]
                 self.executed += 1

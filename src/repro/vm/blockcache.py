@@ -40,7 +40,12 @@ each dispatched segment, so a checkpoint lands on the first segment
 boundary at or past its stride mark (the scalar loop still checks every
 instruction).  While recording, the IR engine runs blocks holding a
 ``Call`` (``CompiledIRBlock.calls``) on the scalar loop, which keeps each
-suspended frame's resume position exact; asm segments never nest.
+suspended frame's resume position exact and its segment count taken at
+dispatch; asm segments never nest.  An injection run's convergence probe
+uses the same tap and compiles call segments too: the compiled ``Call``
+step stores its caller's resume position before calling, so every
+suspended frame is at its pending call when a probe inside the callee
+compares the frame stack.
 
 Candidate counting needs no hooked variant at all: a hook with
 ``segment_counts`` gets the plain variant and one count per dispatch,
@@ -565,12 +570,19 @@ def _ir_step(inst, global_addr):
             getters.append(g)
         tgetters = tuple(getters)
         callee = inst.callee
+        # The caller's resume position while it is suspended here: a
+        # convergence probe inside the callee compares it.
+        block = inst.parent
+        index = next(i for i, other in enumerate(block.instructions)
+                     if other is inst)
         if inst.has_result():
             def step(s, frame, values):
                 e = s.executed + 1
                 s.executed = e
                 if e > s.max_instructions:
                     raise HangTimeout(e)
+                frame.resume_block = block
+                frame.resume_index = index
                 values[key] = s._call_function(
                     callee, [g(values) for g in tgetters])
         else:
@@ -579,6 +591,8 @@ def _ir_step(inst, global_addr):
                 s.executed = e
                 if e > s.max_instructions:
                     raise HangTimeout(e)
+                frame.resume_block = block
+                frame.resume_index = index
                 s._call_function(callee, [g(values) for g in tgetters])
         return step
 

@@ -36,6 +36,7 @@ skip their fault-free prefix.
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
@@ -56,13 +57,31 @@ from repro.vm.io import OutputBuffer
 from repro.vm.memory import BumpAllocator, STACK_TOP
 from repro.vm.result import ExecutionResult
 from repro.vm.snapshot import (
-    FrameState, MachineSnapshot, capture_memory, restore_memory,
-    restore_memory_decoded,
+    Converged, ConvergenceProbe, FrameState, MachineSnapshot,
+    capture_memory, memory_matches, restore_memory,
 )
 from repro.vm.blockcache import UNCOMPILABLE, cache_for, compile_ir_segment
 from repro.vm.traps import HangTimeout, Trap, TrapKind
 
 MASK64 = (1 << 64) - 1
+_MISSING = object()
+
+
+def _same_values(live: Dict[int, object], frozen: Dict[int, object]) -> bool:
+    """SSA value maps equal bit for bit: type-strict (``True == 1`` in
+    Python) and floats by their bits (``0.0 == -0.0``, NaN != NaN)."""
+    if len(live) != len(frozen):
+        return False
+    for key, value in live.items():
+        other = frozen.get(key, _MISSING)
+        if type(value) is not type(other):
+            return False
+        if type(value) is float:
+            if struct.pack("<d", value) != struct.pack("<d", other):
+                return False
+        elif value != other:
+            return False
+    return True
 
 
 class InterpHook:
@@ -110,10 +129,10 @@ class Frame:
     #: poisoned instruction; reading it marks the fault activated.
     poison_inst: Optional[Instruction] = None
     #: Position of the instruction this frame is currently executing, kept
-    #: up to date only while checkpoint recording is on (at every scalar
-    #: instruction and compiled-segment start; recording runs every
-    #: segment holding a call on the scalar loop).  For a suspended frame
-    #: this is its pending ``call`` instruction.
+    #: up to date only while the boundary tap is armed (at every scalar
+    #: instruction and tapped compiled-segment start; a compiled ``Call``
+    #: step stores it before calling).  For a suspended frame this is its
+    #: pending ``call`` instruction.
     resume_block: Optional[BasicBlock] = None
     resume_index: int = 0
 
@@ -153,11 +172,18 @@ class IRInterpreter:
         #: injection per run). Read by the fault-injection campaign.
         self.fault_activated = False
         #: Checkpoint recording: every ``checkpoint_stride`` retired
-        #: instructions (0 = off), pass a MachineSnapshot to the sink.
+        #: instructions (0 = off), pass a MachineSnapshot to the sink; a
+        #: sink may return a new stride (a provisional recording).
         self._checkpoint_stride = checkpoint_stride
         self._checkpoint_sink = checkpoint_sink
         self._next_checkpoint = checkpoint_stride
         self._recording = checkpoint_sink is not None and checkpoint_stride > 0
+        #: Boundary tap: armed while recording or probing (see probe()).
+        self._tap = self._recording
+        self._probe: Optional[ConvergenceProbe] = None
+        #: Set when run() returned through the convergence exit; the run
+        #: simulated up to ``executed`` and reports the golden result.
+        self.converged = False
         #: Live frame stack, innermost last (for capture()).
         self._frames: List[Frame] = []
         #: Set by restore(): frame states run() rebuilds instead of calling
@@ -224,26 +250,16 @@ class IRInterpreter:
             state={"frames": frames, "stack_sp": self._stack_sp})
 
     def restore(self, snapshot: MachineSnapshot,
-                memory_images: Optional[Sequence[bytes]] = None,
                 skip_memory: bool = False) -> None:
         """Load a snapshot; the next run() rebuilds the captured call stack
         and continues from its boundary instead of entering ``main``.  The
         snapshot is not consumed — any number of interpreters (over the
         same module instance) may restore from the same one.
 
-        ``memory_images`` — pre-expanded full-size region bytes (from
-        :meth:`repro.vm.snapshot.CheckpointStore.decoded_memory`) shared
-        across restores of this snapshot; bit-identical to the span-wise
-        restore, just cheaper.
-
-        ``skip_memory`` — leave ``self.memory`` untouched (batched lanes
-        already hold a COW fork of the right bytes)."""
-        if skip_memory:
-            pass
-        elif memory_images is not None:
-            restore_memory_decoded(self.memory, snapshot.memory,
-                                   memory_images)
-        else:
+        ``skip_memory`` — leave ``self.memory`` untouched (the engine was
+        built over memory that already holds the snapshot's bytes: an
+        injection run's span-built memory or a batched lane's COW fork)."""
+        if not skip_memory:
             restore_memory(self.memory, snapshot.memory)
         self.heap.restore(snapshot.heap)
         self.output.restore(snapshot.output)
@@ -253,8 +269,63 @@ class IRInterpreter:
         self._resume = snapshot.state["frames"]
 
     def _take_checkpoint(self) -> None:
-        self._checkpoint_sink(self.capture())
+        probe = self._probe
+        if probe is not None:
+            mark = probe.due(self.executed)
+            if mark is not None and self._converged_on(mark):
+                raise Converged
+            self._next_checkpoint = probe.next_executed()
+            return
+        stride = self._checkpoint_sink(self.capture())
+        if stride:
+            self._checkpoint_stride = stride
         self._next_checkpoint = self.executed + self._checkpoint_stride
+
+    # -- convergence exit ------------------------------------------------------
+    def probe(self, marks: Sequence[MachineSnapshot], first: int,
+              final: ExecutionResult) -> None:
+        """Arm the convergence exit for the next run(): at each of the
+        golden ``marks[first:]`` it lands on, the run stops and returns
+        ``final`` (the golden result) if its state equals the mark (see
+        :class:`~repro.vm.snapshot.ConvergenceProbe`).  Not armed when
+        the golden run would not fit this run's budget — then the run
+        itself must hang."""
+        if first >= len(marks) or final.instructions > self.max_instructions:
+            return
+        self._probe = ConvergenceProbe(marks, first, final)
+        self._tap = True
+        self._next_checkpoint = marks[first].executed
+
+    def _converged_on(self, mark: MachineSnapshot) -> bool:
+        """Whether the run may exit at ``mark``: the hook will never act
+        again, activation can no longer change, and the state equals the
+        mark bit for bit — cheap fields first, memory last."""
+        hook = self.hook
+        if hook is not None and not hook.finished:
+            return False
+        frames = self._frames
+        if not self.fault_activated and any(
+                f.poison_inst is not None for f in frames):
+            return False
+        state = mark.state
+        marked = state["frames"]
+        if (self.call_depth != mark.call_depth
+                or self._stack_sp != state["stack_sp"]
+                or len(frames) != len(marked)
+                or self.heap.checkpoint() != mark.heap):
+            return False
+        for live, frozen in zip(frames, marked):
+            if (live.function is not frozen.function
+                    or live.resume_block is not frozen.block
+                    or live.resume_index != frozen.index
+                    or live.saved_sp != frozen.saved_sp):
+                return False
+        if self.output.checkpoint() != mark.output:
+            return False
+        for live, frozen in zip(frames, marked):
+            if not _same_values(live.values, frozen.values):
+                return False
+        return memory_matches(self.memory, mark.memory)
 
     # -- top level -----------------------------------------------------------
     def run(self, entry: str = "main") -> ExecutionResult:
@@ -268,6 +339,9 @@ class IRInterpreter:
                 result = self._call_function(func, [])
             outcome = ExecutionResult("ok", None, self.output.text(),
                                       self.executed, result)
+        except Converged:
+            self.converged = True
+            outcome = self._probe.final
         except Trap as trap:
             # Keep no traceback: its frames would tie this interpreter (and
             # its address space) into a cycle with the stored result.
@@ -399,6 +473,7 @@ class IRInterpreter:
         segment_counts = hook.segment_counts if hook is not None else None
         values = frame.values
         recording = self._recording
+        tap = self._tap
         while True:
             insts = block.instructions
             if skip:
@@ -442,11 +517,10 @@ class IRInterpreter:
                                          else UNCOMPILABLE)
                     if cb is not None and cb is not UNCOMPILABLE \
                             and not (recording and cb.calls):
-                        if recording:
+                        if tap and self.executed >= self._next_checkpoint:
                             frame.resume_block = block
                             frame.resume_index = index
-                            if self.executed >= self._next_checkpoint:
-                                self._take_checkpoint()
+                            self._take_checkpoint()
                         if hook is None or hook.finished:
                             pass  # plain variant is exact
                         elif hook_filter is not None:
@@ -475,7 +549,7 @@ class IRInterpreter:
                             continue
                 self.fallback_blocks += 1
             while index < len(insts):
-                if recording:
+                if tap:
                     # Checkpoints land only at non-phi boundaries, so a
                     # resumed frame never needs the (prev -> block) edge.
                     frame.resume_block = block

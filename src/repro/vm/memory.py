@@ -197,10 +197,9 @@ class COWMemory:
     """Copy-on-write view over full-region byte images.
 
     Built directly over ``CheckpointStore.decoded_memory`` images (or a
-    pristine cold-start image): construction copies **nothing** — unlike
-    ``restore_memory_decoded``, which re-materializes every region
-    (``region.data[:] = image``) per restore, untouched pages here stay
-    references into the shared decode for the fork's whole lifetime.
+    pristine cold-start image): construction copies **nothing** —
+    untouched pages stay references into the shared decode for the
+    fork's whole lifetime.
     ``fork()`` is O(pages) pointer copies; each side then copies a page
     privately only on its first write to it.
 

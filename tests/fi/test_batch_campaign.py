@@ -105,14 +105,19 @@ class TestCampaignBitIdentity:
 
     def test_batch_zero_is_a_strict_noop(self, built):
         """batch=0 must leave the scalar path untouched: no sweeps, no
-        lanes, no template built."""
+        lanes, and no batch-only state — no full-size pristine image and
+        no snapshot decodes (scalar trials build their memory from
+        spans)."""
         inj = _fresh("PINFI", built)
         run_campaign(inj, "all",
-                     CampaignConfig(trials=TRIALS, seed=SEED, batch=0))
+                     CampaignConfig(trials=TRIALS, seed=SEED, batch=0,
+                                    checkpoint_stride=-1))
         assert inj.batch_sweeps == 0
         assert inj.batch_lanes == 0
         assert inj.batch_detached == 0
-        assert inj._template is None
+        assert inj._pristine is None
+        store = inj.ensure_checkpoints()
+        assert store.decode_count == 0 and store.decoded_restores == 0
 
     def test_resolved_batch(self):
         assert CampaignConfig(batch=0).resolved_batch() == 0

@@ -122,8 +122,9 @@ class TestPreparationAccounting:
         assert inj.executions == 1 + injections
 
     def test_auto_stride_prep_is_two_runs(self, built):
-        """Auto stride needs the golden instruction count first, so prep
-        is golden + recording — the same two runs as the cold path."""
+        """Auto stride records at a provisional stride; a program shorter
+        than 20 provisional strides is then re-recorded at N // 20, so
+        prep is two runs — the same two as the cold path."""
         inj = _fresh("PINFI", built)
         result = run_campaign(inj, "all",
                               CampaignConfig(trials=4, seed=3,

@@ -231,21 +231,17 @@ class TestBucketScheduler:
 
     def test_bucketed_restores_share_decodes(self, built):
         # A sparse stride yields few checkpoints, so by pigeonhole the
-        # trials' restores must share snapshots — bucketed ordering turns
-        # that sharing into decode-cache hits: strictly fewer decodes
-        # than restores.
+        # trials' restores share snapshots.  Scalar trials build their
+        # memory from each snapshot's spans, so however the restores are
+        # ordered none of them decodes a full-size image.
         inj = _fresh("LLFI", built)
         config = CampaignConfig(trials=12, seed=31337,
                                 checkpoint_stride=300)
         result = run_campaign(inj, "all", config)
         store = inj.ensure_checkpoints()
         assert store is not None and len(store) >= 1
-        assert store.decoded_restores == inj.ckpt_restores
-        assert store.decoded_restores > len(store)
-        assert store.decode_count < store.decoded_restores
-        # With monotone bucket order and the LRU, each checkpoint is
-        # decoded at most once per campaign.
-        assert store.decode_count <= len(store)
+        assert inj.ckpt_restores > len(store)
+        assert store.decode_count == 0
         assert result.trials == 12
 
     def test_decoded_restore_is_bit_identical(self, built):

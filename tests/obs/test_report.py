@@ -21,6 +21,19 @@ class TestSummarize:
         assert set(summary["workers"]) == {"10", "11"}
         assert summary["worker_balance"] == 0.3 / 0.6
 
+    def test_reduction_counts_converged_tails(self):
+        # Runs that converged onto the golden run skipped its tail too:
+        # without checkpoints the same trials would have simulated it.
+        manifest = sample_manifest()
+        manifest.summary["counters"] = {
+            "injector.LLFI.converged": 1,
+            "injector.LLFI.converged_instructions": 90,
+            "injector.PINFI.converged_instructions": 1000}
+        summary = summarize(manifest)
+        assert summary["converged"] == 1
+        assert summary["converged_instructions"] == 90
+        assert summary["ckpt_reduction"] == (150 + 60 + 90) / 150
+
     def test_non_adaptive_defaults(self):
         summary = summarize(sample_manifest())
         assert summary["ci_margin"] == 0.0

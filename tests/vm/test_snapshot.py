@@ -14,8 +14,8 @@ from repro.vm.irinterp import IRInterpreter
 from repro.vm.memory import Memory
 from repro.vm.snapshot import (
     DECODED_CACHE_SNAPSHOTS, Checkpoint, CheckpointStore, MachineSnapshot,
-    RegionImage, capture_memory, expand_image, nonzero_span, restore_memory,
-    restore_memory_decoded,
+    RegionImage, capture_memory, expand_image, memory_from_images,
+    memory_matches, nonzero_span, restore_memory,
 )
 from tests.conftest import compile_both
 
@@ -104,36 +104,68 @@ class TestMemoryImages:
         assert len(full) == 0x200
         assert full == bytes(mem.regions()[0].data)
 
-    def test_decoded_restore_matches_span_restore(self):
-        # The shared-decode path and the per-trial span path must leave
-        # memory bit-identical — this is what lets bucketed trials share
-        # one decode.
+    def test_span_built_memory_matches_restore(self):
+        # An injection run's address space is built from the payload
+        # spans alone; it must equal, region by region, restore_memory
+        # into a used memory of the same layout.
         mem = Memory()
         mem.map_region("a", 0x1000, 0x100)
         mem.map_region("b", 0x4000, 0x1000)
+        mem.map_region("empty", 0x8000, 0x200)
         mem.write_bytes(0x1010, b"\x01\x02\x00\x03")
         mem.write_bytes(0x4FF0, b"tail")
         images = capture_memory(mem)
-        decoded = tuple(expand_image(i) for i in images)
 
         mem.write_bytes(0x1000, b"\xFF" * 0x100)
+        mem.write_bytes(0x8000, b"\xEE" * 0x200)
         restore_memory(mem, images)
-        via_spans = [bytes(r.data) for r in mem.regions()]
+        built = memory_from_images(images)
+        assert [(r.name, r.base, r.size) for r in built.regions()] == \
+            [(r.name, r.base, r.size) for r in mem.regions()]
+        assert [bytes(r.data) for r in built.regions()] == \
+            [bytes(r.data) for r in mem.regions()]
 
-        mem.write_bytes(0x4000, b"\xEE" * 0x1000)
-        restore_memory_decoded(mem, images, decoded)
-        via_decode = [bytes(r.data) for r in mem.regions()]
-        assert via_decode == via_spans
 
-    def test_decoded_restore_checks_layout(self):
+class TestMemoryMatches:
+    """The convergence probe's in-place memory comparison."""
+
+    @staticmethod
+    def _memory():
         mem = Memory()
-        mem.map_region("r", 0x1000, 0x100)
+        mem.map_region("small", 0x1000, 0x100)
+        mem.map_region("big", 0x100000, 3 << 16)  # spans the 64 KiB blocks
+        mem.write_bytes(0x1010, b"\x01\x02\x00\x03")
+        mem.write_bytes(0x100000 + 70000, b"payload")
+        return mem
+
+    def test_equal_state_matches(self):
+        mem = self._memory()
         images = capture_memory(mem)
-        decoded = tuple(expand_image(i) for i in images)
+        assert memory_matches(mem, images)
+        assert memory_matches(memory_from_images(images), images)
+
+    @pytest.mark.parametrize("addr", [
+        0x1000, 0x10FF, 0x100000, 0x100000 + 1500, 0x100000 + 69999,
+        0x100000 + 70007, 0x100000 + (3 << 16) - 1])
+    def test_stray_byte_outside_the_span_differs(self, addr):
+        mem = self._memory()
+        images = capture_memory(mem)
+        mem.write_bytes(addr, b"\x01")
+        assert not memory_matches(mem, images)
+
+    @pytest.mark.parametrize("addr", [0x1011, 0x1012, 0x100000 + 70003])
+    def test_differing_byte_inside_the_span_differs(self, addr):
+        mem = self._memory()
+        images = capture_memory(mem)
+        mem.write_bytes(addr, b"\x7f")
+        assert not memory_matches(mem, images)
+
+    def test_layout_must_match(self):
+        mem = self._memory()
+        images = capture_memory(mem)
         other = Memory()
-        other.map_region("other", 0x1000, 0x100)
-        with pytest.raises(ReproError):
-            restore_memory_decoded(other, images, decoded)
+        other.map_region("small", 0x1000, 0x100)
+        assert not memory_matches(other, images)
 
 
 def _reference_image(region) -> RegionImage:
@@ -356,22 +388,30 @@ class TestResumeEquivalence:
             assert _result_tuple(r1) == _result_tuple(r2) \
                 == _result_tuple(cold)
 
-    def test_restore_from_decoded_images_matches_plain(self, built):
-        # Engines accept pre-expanded memory images (the bucket-shared
-        # decode); the resumed run must be bit-identical to a plain
-        # restore from the same snapshot.
+    def test_span_built_trial_memory_matches_restore(self, built):
+        # An injection run's engine shares a never-run template's tables
+        # and gets memory built from the snapshot's payload spans; that
+        # memory must equal, region by region, restore_memory into a
+        # fully built engine, and the resumed runs must agree.
         module, program = built
         for _, snaps, engine in [
-            (*_record_ir(module, 200), lambda: IRInterpreter(module)),
-            (*_record_asm(program, 200), lambda: AsmSimulator(program)),
+            (*_record_ir(module, 200), lambda **kw: IRInterpreter(module,
+                                                                  **kw)),
+            (*_record_asm(program, 200), lambda **kw: AsmSimulator(program,
+                                                                   **kw)),
         ]:
+            template = engine()
             for snap in (snaps[0], snaps[len(snaps) // 2], snaps[-1]):
-                decoded = tuple(expand_image(i) for i in snap.memory)
                 plain = engine()
                 plain.restore(snap)
-                shared = engine()
-                shared.restore(snap, memory_images=decoded)
-                assert _result_tuple(shared.run()) == \
+                spans = engine(template=template,
+                               memory=memory_from_images(snap.memory))
+                spans.restore(snap, skip_memory=True)
+                assert [(r.name, r.base, bytes(r.data))
+                        for r in spans.memory.regions()] == \
+                    [(r.name, r.base, bytes(r.data))
+                     for r in plain.memory.regions()]
+                assert _result_tuple(spans.run()) == \
                     _result_tuple(plain.run()), \
                     f"diverged at executed={snap.executed}"
 
