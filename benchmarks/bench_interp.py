@@ -4,11 +4,12 @@
 
 For each (workload, tool, category) cell the same campaign runs twice
 with fresh injectors: **interpreted** (``no_compile=True``, the scalar
-per-instruction loop) and **compiled** (the default: every basic block
-pre-resolved into a threaded sequence of per-instruction closures, with
-compare+branch and load+binop pairs fused into superinstructions, see
-``repro.vm.blockcache``).  The benchmark verifies the contracts the
-optimisation rests on and exits non-zero on any violation:
+per-instruction loop) and **compiled** (the default: every straight-line
+segment generated as the source of one Python function with operands,
+widths and branch targets baked in, compare+branch pairs decided from
+the compare's operands, see ``repro.vm.blockcache``).  The benchmark
+verifies the contracts the optimisation rests on and exits non-zero on
+any violation:
 
 * **bit identity** — the compiled campaign's full serialized result
   (``CampaignResult.to_json(include_records=True)``) must equal the
@@ -19,7 +20,14 @@ optimisation rests on and exits non-zero on any violation:
   compilation);
 * **compilation happened** — the compiled cell's manifest must report
   compiled blocks actually dispatched (the comparison would be vacuous
-  otherwise).
+  otherwise);
+* **it stays compiled** — at most ``MAX_FALLBACK_RATE`` (2%) of the
+  compiled cell's dispatched segments may fall back to the scalar loop,
+  so a generator gap that silently sends a common opcode to the scalar
+  loop fails instead of only slowing the cell down.  Pending
+  injections, hooks that cannot declare a span safe and segments that
+  could cross the hang budget fall back by design; they stay well
+  under 1% on the libquantumm and mcfm ``arithmetic``/``all`` cells.
 
 Writes ``BENCH_interp.json`` with per-cell wall times, compile
 statistics (blocks compiled, superinstructions fused, fallback rate,
@@ -37,6 +45,10 @@ import time
 from repro.fi import CampaignConfig, LLFIInjector, PINFIInjector, run_campaign
 from repro.obs.manifest import manifest_filename, read_manifest
 from repro.workloads import build
+
+#: Largest share of a compiled cell's dispatched segments that may run on
+#: the scalar loop.
+MAX_FALLBACK_RATE = 0.02
 
 
 def _fresh_injector(tool: str, built):
@@ -151,6 +163,11 @@ def main() -> None:
                 if not cell["compiled_dispatch_ok"]:
                     violations.append(f"{name}: compiled run dispatched no "
                                       f"compiled blocks")
+                rate = cell["fallback_rate"]
+                if rate is not None and rate > MAX_FALLBACK_RATE:
+                    violations.append(f"{name}: {rate:.2%} of segments fell "
+                                      f"back to the scalar loop (at most "
+                                      f"{MAX_FALLBACK_RATE:.0%})")
             workloads[workload][category] = cells
             print(f"{workload}/{category}: "
                   + " ".join(f"{t}={cells[t]['seconds_interpreted']:.2f}s->"

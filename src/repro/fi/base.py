@@ -277,8 +277,8 @@ class BaseInjector(ABC):
         #: Block-compiled execution (repro.vm.blockcache): enabled unless
         #: the campaign's ``--no-compile`` escape hatch turns it off.
         self.compile_enabled = True
-        #: Basic blocks dispatched through compiled closures / through the
-        #: scalar fallback loop, summed over every engine run.
+        #: Segments dispatched as compiled functions / through the scalar
+        #: fallback loop, summed over every engine run.
         self.compiled_blocks = 0
         self.fallback_blocks = 0
         #: Workload registry name, when built from an ``InjectorSpec``.

@@ -48,10 +48,11 @@ One manifest is one JSONL file.  Line kinds, in file order:
 ``compile``
     Per-program block-compilation statistics (one per compiled program):
     ``tool``, ``enabled`` (False under ``--no-compile``),
-    ``blocks_compiled`` (distinct segments compiled into closure
-    sequences), ``superinstructions`` (fused compare+branch / load+binop
-    pairs among them) and ``compile_wall_s`` (one-time compilation cost,
-    shared by every run over the program).
+    ``blocks_compiled`` (distinct segments compiled into generated
+    functions), ``superinstructions`` (compare+branch pairs among them
+    whose branch is decided from the compare's operands) and
+    ``compile_wall_s`` (one-time compilation cost, shared by every run
+    over the program).
 ``chunk``
     One per engine work chunk (parallel campaigns), ordered by ``chunk``:
     ``worker`` (PID), ``slots`` (slot indices), ``wall_s``; batched

@@ -251,7 +251,7 @@ def render(summaries: List[dict]) -> str:
         ["Cell", "Blocks", "Fused", "Fused share", "Fallback rate",
          "Compile", "Overhead"],
         compile_rows,
-        title="Compiled execution (threaded-code blocks)"))
+        title="Compiled execution (generated segments)"))
 
     balance_rows = []
     for s in summaries:

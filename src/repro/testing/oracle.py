@@ -320,6 +320,13 @@ class Oracle:
                                        seed=cfg.campaign_seed,
                                        fault_model=model), jobs=1)
                     variants = [
+                        # The scalar loop: compiled-vs-scalar injection
+                        # identity (hooked variants, traps from corrupted
+                        # pointers inside segments, hangs at the budget).
+                        ("scalar", CampaignConfig(
+                            trials=cfg.campaign_trials,
+                            seed=cfg.campaign_seed,
+                            fault_model=model, no_compile=True), 1),
                         ("jobs=2", CampaignConfig(
                             trials=cfg.campaign_trials,
                             seed=cfg.campaign_seed,

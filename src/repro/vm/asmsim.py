@@ -190,7 +190,7 @@ class AsmSimulator:
         self._site_tokens: Dict[Tuple[str, int, int], int] = {}
         self._token_sites: Dict[int, Tuple[str, int, int]] = {}
 
-        #: Threaded-code execution (see repro.vm.blockcache).  Recording
+        #: Generated-source segments (see repro.vm.blockcache).  Recording
         #: runs compile too: the boundary tap is checked once per compiled
         #: segment, so a checkpoint lands on the first segment boundary at
         #: or past its stride mark (and on the exact mark when scalar).
@@ -212,7 +212,7 @@ class AsmSimulator:
         self._hooked: Dict[Tuple[int, int], object] = {}
         self._filter_key = (frozenset(hook_filter)
                             if hook_filter is not None else None)
-        #: Throwaway location for compiled steps that delegate to scalar
+        #: Throwaway location for compiled segments that delegate to scalar
         #: handlers (the handler's _advance mutates it harmlessly).
         self._scratch_loc = _Loc(None, 0, 0)  # type: ignore[arg-type]
 
@@ -384,6 +384,9 @@ class AsmSimulator:
         segment_counts = hook.segment_counts if hook is not None else None
         ops = self._ops
         tap = self._tap
+        cache = self._block_cache
+        segments = cache.asm if self._compiling else None
+        max_instructions = self.max_instructions
         while True:
             insts = loc.func.blocks[loc.block]
             while loc.index >= len(insts):
@@ -394,25 +397,28 @@ class AsmSimulator:
                     raise Trap(TrapKind.BAD_JUMP,
                                f"fell off function {loc.func.name}")
                 insts = loc.func.blocks[loc.block]
-            if self._compiling:
-                # Threaded-code fast path (repro.vm.blockcache): run the
-                # rest of this straight line as compiled closures when no
-                # observer could tell the difference.  A segment-counting
-                # hook gets the plain variant plus one count per dispatch;
-                # any other armed hook may still run compiled through the
-                # hooked variant (inline hook calls) when it declares the
-                # span safe — otherwise fall back to the scalar loop until
-                # the next transfer.
+            if segments is not None:
+                # Compiled fast path (repro.vm.blockcache): one call runs
+                # the rest of this straight line when no observer could
+                # tell the difference and the segment cannot cross the
+                # budget.  A segment-counting hook gets the plain variant
+                # plus one count per dispatch; any other armed hook may
+                # still run compiled through the hooked variant (inline
+                # hook calls) when it declares the span safe — otherwise
+                # the scalar loop runs until the next transfer.
+                cb = None
                 if not self.poison or self.fault_activated:
-                    cache = self._block_cache
                     key = (id(insts), loc.index)
-                    cb = cache.asm.get(key)
+                    cb = segments.get(key)
                     if cb is None:
-                        cb = compile_asm_segment(cache, insts, loc.index,
-                                                 self, loc.func)
-                        cache.asm[key] = (cb if cb is not None
-                                          else UNCOMPILABLE)
-                    if cb is not None and cb is not UNCOMPILABLE:
+                        cb = (compile_asm_segment(cache, insts, loc.index,
+                                                  self, loc.func)
+                              or UNCOMPILABLE)
+                        segments[key] = cb
+                    if (cb is UNCOMPILABLE
+                            or self.executed + cb.count > max_instructions):
+                        cb = None
+                    else:
                         if tap and self.executed >= self._next_checkpoint:
                             self._take_checkpoint(loc)
                         if hook is None or hook.finished:
@@ -431,16 +437,13 @@ class AsmSimulator:
                                 cb = self._hooked_variant(key, insts, loc)
                         else:
                             cb = None
-                        if cb is not None:
-                            self.compiled_blocks += 1
-                            for step in cb.steps:
-                                step(self)
-                            loc.index = cb.term_index
-                            next_loc = cb.term(self, loc)
-                            if next_loc is None:  # program exit
-                                return wrap_signed32(self.get_gpr("rax"))
-                            loc = next_loc
-                            continue
+                if cb is not None:
+                    self.compiled_blocks += 1
+                    next_loc = cb.run(self, loc)
+                    if next_loc is None:  # program exit
+                        return wrap_signed32(self.get_gpr("rax"))
+                    loc = next_loc
+                    continue
                 self.fallback_blocks += 1
             # Scalar loop: execute until control leaves this straight
             # line, then hand back to the outer loop (which may compile
@@ -450,7 +453,7 @@ class AsmSimulator:
                     self._take_checkpoint(loc)
                 inst = insts[loc.index]
                 self.executed += 1
-                if self.executed > self.max_instructions:
+                if self.executed > max_instructions:
                     raise HangTimeout(self.executed)
                 if self.poison:
                     self._check_poison(inst)

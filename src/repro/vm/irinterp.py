@@ -60,7 +60,9 @@ from repro.vm.snapshot import (
     Converged, ConvergenceProbe, FrameState, MachineSnapshot,
     capture_memory, memory_matches, restore_memory,
 )
-from repro.vm.blockcache import UNCOMPILABLE, cache_for, compile_ir_segment
+from repro.vm.blockcache import (
+    RET, UNCOMPILABLE, cache_for, compile_ir_segment,
+)
 from repro.vm.traps import HangTimeout, Trap, TrapKind
 
 MASK64 = (1 << 64) - 1
@@ -200,14 +202,15 @@ class IRInterpreter:
             self._stack_sp = STACK_TOP
         else:
             self.memory, self.heap, self._stack_sp = self._load_globals()
-        #: Threaded-code execution (see repro.vm.blockcache).  Recording
+        #: Generated-source segments (see repro.vm.blockcache).  Recording
         #: runs compile too: the boundary tap is checked once per compiled
         #: segment, so a checkpoint lands on the first segment boundary at
         #: or past its stride mark; segments holding a call run scalar
         #: while recording, so every suspended frame's resume position is
-        #: exact at capture.
+        #: exact at capture.  The program's cache also holds the phi edge
+        #: table, which scalar runs use too.
         self._compiling = compile_blocks
-        self._block_cache = cache_for(module) if self._compiling else None
+        self._block_cache = cache_for(module)
         #: Runtime counters: blocks executed compiled vs blocks that fell
         #: back to the scalar loop while compilation was on.
         self.compiled_blocks = 0
@@ -474,6 +477,10 @@ class IRInterpreter:
         values = frame.values
         recording = self._recording
         tap = self._tap
+        cache = self._block_cache
+        segments = cache.ir if self._compiling else None
+        phi_edges = cache.phis
+        max_instructions = self.max_instructions
         while True:
             insts = block.instructions
             if skip:
@@ -482,41 +489,43 @@ class IRInterpreter:
             else:
                 # Evaluate all phis for this (prev -> block) edge at once.
                 index = 0
-                if insts and isinstance(insts[0], Phi):
-                    phi_values = []
-                    while index < len(insts) and isinstance(insts[index], Phi):
-                        phi = insts[index]
-                        incoming = phi.incoming_for_block(prev_block)  # type: ignore[arg-type]
-                        phi_values.append((phi, self._value_of(incoming, frame)))
-                        index += 1
+                if insts and type(insts[0]) is Phi:
+                    edge = phi_edges.get((id(insts), id(prev_block)))
+                    if edge is None:
+                        edge = self._phi_edge(insts, prev_block)
+                    phi_values = [(phi, self._value_of(incoming, frame))
+                                  for phi, incoming in edge]
+                    index = len(edge)
                     for phi, value in phi_values:
                         self.executed += 1
                         if hook is not None and (hook_filter is None
                                                  or id(phi) in hook_filter):
                             value = hook.on_result(phi, value, self)
                         values[id(phi)] = value
-                    if self.executed > self.max_instructions:
+                    if self.executed > max_instructions:
                         raise HangTimeout(self.executed)
-            if self._compiling:
-                # Threaded-code fast path (repro.vm.blockcache): run the
-                # rest of the block as compiled closures when no observer
-                # could tell the difference.  A segment-counting hook gets
-                # the plain variant plus one count per dispatch; any other
-                # armed hook may still run compiled through the hooked
-                # variant (inline hook calls) when it declares the span
-                # safe — otherwise fall back to the scalar loop below for
-                # this block.
+            if segments is not None:
+                # Compiled fast path (repro.vm.blockcache): one call runs
+                # the rest of the block when no observer could tell the
+                # difference and the segment cannot cross the budget.  A
+                # segment-counting hook gets the plain variant plus one
+                # count per dispatch; any other armed hook may still run
+                # compiled through the hooked variant (inline hook calls)
+                # when it declares the span safe — otherwise the scalar
+                # loop below runs this block.
+                cb = None
                 if frame.poison_inst is None or self.fault_activated:
-                    cache = self._block_cache
                     key = (id(insts), index)
-                    cb = cache.ir.get(key)
+                    cb = segments.get(key)
                     if cb is None:
-                        cb = compile_ir_segment(cache, insts, index,
-                                                self._global_addr)
-                        cache.ir[key] = (cb if cb is not None
-                                         else UNCOMPILABLE)
-                    if cb is not None and cb is not UNCOMPILABLE \
-                            and not (recording and cb.calls):
+                        cb = (compile_ir_segment(cache, insts, index,
+                                                 self._global_addr)
+                              or UNCOMPILABLE)
+                        segments[key] = cb
+                    if (cb is UNCOMPILABLE or (recording and cb.calls)
+                            or self.executed + cb.count > max_instructions):
+                        cb = None
+                    else:
                         if tap and self.executed >= self._next_checkpoint:
                             frame.resume_block = block
                             frame.resume_index = index
@@ -537,17 +546,20 @@ class IRInterpreter:
                                 cb = self._hooked_variant(key, insts, index)
                         else:
                             cb = None
-                        if cb is not None:
-                            self.compiled_blocks += 1
-                            for step in cb.steps:
-                                step(self, frame, values)
-                            t = cb.term(self, frame, values)
-                            if type(t) is tuple:  # (_RET, value)
-                                return t[1]
-                            prev_block = block
-                            block = t
-                            continue
-                self.fallback_blocks += 1
+                if cb is None:
+                    self.fallback_blocks += 1
+                else:
+                    self.compiled_blocks += 1
+                    t = cb.run(self, frame, values)
+                    if type(t) is not tuple:
+                        prev_block = block
+                        block = t
+                        continue
+                    if t[0] is RET:
+                        return t[1]
+                    # After a call, the rest of the block could cross the
+                    # budget: it finishes on the scalar loop.
+                    index = t[1]
             while index < len(insts):
                 if tap:
                     # Checkpoints land only at non-phi boundaries, so a
@@ -558,7 +570,7 @@ class IRInterpreter:
                         self._take_checkpoint()
                 inst = insts[index]
                 self.executed += 1
-                if self.executed > self.max_instructions:
+                if self.executed > max_instructions:
                     raise HangTimeout(self.executed)
                 cls = type(inst)
                 if cls is Branch:
@@ -589,6 +601,18 @@ class IRInterpreter:
             else:
                 raise ReproError(
                     f"block {block.name} fell through without terminator")
+
+    def _phi_edge(self, insts, prev_block: Optional[BasicBlock]) -> tuple:
+        """``(phi, incoming operand)`` for the phis heading ``insts`` on
+        the edge from ``prev_block``, kept in the program's cache."""
+        edge = []
+        for phi in insts:
+            if type(phi) is not Phi:
+                break
+            edge.append((phi, phi.incoming_for_block(prev_block)))  # type: ignore[arg-type]
+        edge = tuple(edge)
+        self._block_cache.phis[(id(insts), id(prev_block))] = edge
+        return edge
 
     def _hooked_variant(self, key, insts, index: int):
         """The hooked variant of the segment at ``key`` when the armed hook

@@ -33,6 +33,8 @@ STACK_SIZE = 1024 * 1024
 
 _PACK = {1: "<b", 2: "<h", 4: "<i", 8: "<q"}
 _PACK_U = {1: "<B", 2: "<H", 4: "<I", 8: "<Q"}
+_unpack_from = struct.unpack_from
+_pack_into = struct.pack_into
 
 
 @dataclass
@@ -108,25 +110,50 @@ class Memory:
         region, offset = self._locate(addr, len(data))
         region.data[offset:offset + len(data)] = data
 
-    # -- integers -------------------------------------------------------------
+    # -- integers and doubles ---------------------------------------------------
+    #
+    # The four scalar accessors test the last region hit inline before
+    # falling back to _locate: both engines make one call per access.
+
     def read_int(self, addr: int, size: int, signed: bool = True) -> int:
-        region, offset = self._locate(addr, size)
         fmt = _PACK[size] if signed else _PACK_U[size]
-        return struct.unpack_from(fmt, region.data, offset)[0]
+        last = self._last
+        if last is not None:
+            offset = addr - last.base
+            if 0 <= offset and offset + size <= last.size:
+                return _unpack_from(fmt, last.data, offset)[0]
+        region, offset = self._locate(addr, size)
+        return _unpack_from(fmt, region.data, offset)[0]
 
     def write_int(self, addr: int, size: int, value: int) -> None:
-        region, offset = self._locate(addr, size)
         value &= (1 << (size * 8)) - 1
-        struct.pack_into(_PACK_U[size], region.data, offset, value)
+        last = self._last
+        if last is not None:
+            offset = addr - last.base
+            if 0 <= offset and offset + size <= last.size:
+                _pack_into(_PACK_U[size], last.data, offset, value)
+                return
+        region, offset = self._locate(addr, size)
+        _pack_into(_PACK_U[size], region.data, offset, value)
 
-    # -- doubles ---------------------------------------------------------------
     def read_double(self, addr: int) -> float:
+        last = self._last
+        if last is not None:
+            offset = addr - last.base
+            if 0 <= offset and offset + 8 <= last.size:
+                return _unpack_from("<d", last.data, offset)[0]
         region, offset = self._locate(addr, 8)
-        return struct.unpack_from("<d", region.data, offset)[0]
+        return _unpack_from("<d", region.data, offset)[0]
 
     def write_double(self, addr: int, value: float) -> None:
+        last = self._last
+        if last is not None:
+            offset = addr - last.base
+            if 0 <= offset and offset + 8 <= last.size:
+                _pack_into("<d", last.data, offset, value)
+                return
         region, offset = self._locate(addr, 8)
-        struct.pack_into("<d", region.data, offset, value)
+        _pack_into("<d", region.data, offset, value)
 
     def read_cstring(self, addr: int, limit: int = 1 << 16) -> str:
         """Read a NUL-terminated string (for the print_str intrinsic)."""

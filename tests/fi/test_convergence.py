@@ -52,6 +52,13 @@ def _run_key(result, record, activated):
             tuple(record.bit_positions), record.target, record.width)
 
 
+def _scalar_key(result, record, activated):
+    """``_run_key`` plus the trap's kind and detail."""
+    trap = result.trap
+    return (_run_key(result, record, activated),
+            trap and (trap.kind, trap.detail))
+
+
 class TestEveryDynamicInstance:
     """A checkpointed run_with_fault equals the scalar run for every k."""
 
@@ -61,6 +68,10 @@ class TestEveryDynamicInstance:
                                                     mixed):
         scalar = _injector(tool, mixed, 0)
         warm = _injector(tool, mixed, STRIDE)
+        # The scalar loop itself: traps and hangs inside generated
+        # segments must keep their kind and count.
+        interpreted = _injector(tool, mixed, 0)
+        interpreted.compile_enabled = False
         fault = get_fault_model(model)
         for category in CATEGORIES:
             n = scalar.dynamic_counts()[category]
@@ -71,6 +82,10 @@ class TestEveryDynamicInstance:
                                            model=fault)
                 assert _run_key(*fast) == _run_key(*cold), \
                     f"{tool}/{category}/{model} k={k}"
+                reference = interpreted.run_with_fault(
+                    category, k, random.Random(k), model=fault)
+                assert _scalar_key(*cold) == _scalar_key(*reference), \
+                    f"{tool}/{category}/{model} k={k}: compiled != scalar"
         assert scalar.converged_runs == 0  # no checkpoints, no probe
         if model == "bitflip":
             # Not vacuous: masked flips die out and their runs exit early.

@@ -13,9 +13,11 @@ recording compiles: every checkpoint of a compiled recording must equal
 the scalar recording's capture at the same boundary, counts included.
 """
 
+import gc
 import glob
 import os
 import random
+import weakref
 
 import pytest
 
@@ -26,11 +28,13 @@ from repro.fi import (
 )
 from repro.fi.base import BatchRequest
 from repro.fi.categories import CATEGORIES
+from repro.fi.engine import forget_workload, injector_for_spec
 from repro.minic import compile_source
 from repro.obs.manifest import read_manifest
 from repro.vm.asmsim import AsmSimulator
-from repro.vm.blockcache import cache_for, peek_cache
+from repro.vm.blockcache import UNCOMPILABLE, cache_for, peek_cache
 from repro.vm.irinterp import IRInterpreter
+from repro.workloads import Workload, build, registry, workload_names
 
 # Same shape as tests/fi/test_batch_campaign.py's workload: calls,
 # branches, doubles and loads, so every category has candidates and the
@@ -68,6 +72,22 @@ int main() {
     for (i = 0; i < 12; i++) s = s + (long)fib(i % 9) * (i + 1);
     print_long(s); print_char(10);
     print_double(scale[3] * (double)s);
+    return 0;
+}
+"""
+
+#: A loop that compiles, then one access that traps inside a compiled
+#: segment (``%s``: an out-of-range load or store, or a division by zero).
+TRAP_SRC = """
+long table[8];
+int main() {
+    int i;
+    long s = 0;
+    for (i = 0; i < 8; i++) { table[i] = i * 3; s = s + table[i]; }
+    print_long(s); print_char(10);
+    long far = s * 1000000;
+    %s
+    print_long(s);
     return 0;
 }
 """
@@ -143,6 +163,123 @@ class TestEngineBitIdentity:
         IRInterpreter(module).run()
         assert cache_for(module) is cache
         assert cache.blocks_compiled == before
+
+
+def _result_key(result):
+    """An ExecutionResult as comparable values (a Trap compares by
+    identity)."""
+    trap = result.trap
+    return (result.status, trap and (trap.kind, trap.detail), result.output,
+            result.instructions, result.exit_value)
+
+
+class TestGeneratedCodeExactness:
+    """The generated code keeps ``executed`` and the hang budget exact:
+    a segment that could cross the budget runs on the scalar loop, and
+    after an IR call the rest of the block does too."""
+
+    @pytest.mark.parametrize("engine", ["IR", "asm"])
+    @pytest.mark.parametrize("source", ["built", "recursive"])
+    def test_budget_sweep_matches_scalar(self, engine, source, request):
+        """Compiled and scalar runs agree at ``max_instructions`` = 1 and
+        every 11th budget up to golden + 1: the prime stride walks across
+        the positions inside the loops' segments."""
+        module, program = request.getfixturevalue(source)
+
+        def run(budget, compile_blocks):
+            if engine == "IR":
+                return IRInterpreter(module, max_instructions=budget,
+                                     compile_blocks=compile_blocks).run()
+            return AsmSimulator(program, max_instructions=budget,
+                                compile_blocks=compile_blocks).run()
+
+        golden = run(10_000_000, True)
+        assert golden.completed
+        end = golden.instructions + 1
+        for budget in sorted({*range(1, end + 1, 11), end - 1, end}):
+            compiled = run(budget, True)
+            assert _result_key(compiled) == _result_key(run(budget, False)), \
+                f"max_instructions={budget}"
+            assert compiled.completed == (budget >= golden.instructions)
+
+    @pytest.mark.parametrize("engine", ["IR", "asm"])
+    @pytest.mark.parametrize("access", ["s = s + table[far];",
+                                        "table[far] = s;",
+                                        "s = s / (s - 84);"],
+                             ids=["load", "store", "divide"])
+    def test_traps_inside_segments_match_scalar(self, engine, access):
+        """A trap raised inside a generated segment reports the scalar
+        loop's kind, output and instruction count."""
+        module = compile_source(TRAP_SRC % access)
+        program = compile_module(module)
+
+        def engine_for(compile_blocks):
+            if engine == "IR":
+                return IRInterpreter(module, compile_blocks=compile_blocks)
+            return AsmSimulator(program, compile_blocks=compile_blocks)
+
+        compiled_engine = engine_for(True)
+        compiled = compiled_engine.run()
+        assert compiled.crashed
+        assert compiled_engine.fallback_blocks == 0  # trapped compiled
+        assert _result_key(compiled) == _result_key(engine_for(False).run())
+
+    @pytest.mark.parametrize("workload", workload_names())
+    def test_golden_runs_compile_every_segment(self, workload):
+        """No generator gap hides behind compile_*_segment's catch-all:
+        every segment a golden run dispatches compiles, on both
+        engines."""
+        built = build(workload)
+        for engine, subject in ((IRInterpreter(built.module), built.module),
+                                (AsmSimulator(built.program), built.program)):
+            assert engine.run().completed
+            assert engine.compiled_blocks > 0
+            assert engine.fallback_blocks == 0
+            cache = cache_for(subject)
+            plain = {key: seg for key, seg in
+                     list(cache.ir.items()) + list(cache.asm.items())
+                     if len(key) == 2}
+            assert UNCOMPILABLE not in plain.values()
+
+
+class TestCacheLifetime:
+    def test_in_place_preparation_invalidates_segments(self):
+        """A module rewritten in place (here by the backend's preparation,
+        which splits critical edges) drops the segments and phi edges its
+        earlier runs compiled: a run after the rewrite equals a run of a
+        freshly built module."""
+        module = compile_source(SRC)
+        assert IRInterpreter(module).run().completed
+        compile_module(module)  # prepares ``module`` in place
+        fresh = compile_module(compile_source(SRC)).ir_module
+        assert _result_key(IRInterpreter(module).run()) == \
+            _result_key(IRInterpreter(fresh).run())
+
+    def test_forgotten_workload_module_is_collected(self):
+        """A program's compilation lives on the program: once a workload
+        is forgotten and re-registered, as the e2e benchmark's set-up
+        does, its old module (and the segments it compiled) is freed."""
+        workload = Workload(name="blockcache-lifetime", mirrors="(test)",
+                            suite="test", description="cache lifetime",
+                            source=SRC, input_description="none")
+        registry.register(workload)
+        try:
+            refs = []
+            for tool in ("LLFI", "PINFI"):
+                injector = injector_for_spec(InjectorSpec(workload.name, tool))
+                injector.dynamic_counts()
+                assert injector.compiled_blocks > 0
+            refs.append(weakref.ref(build(workload.name).module))
+            refs.append(weakref.ref(build(workload.name).program))
+            del injector
+            forget_workload(workload.name)
+            registry.unregister(workload.name)
+            registry.register(workload)
+            gc.collect()
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            forget_workload(workload.name)
+            registry.unregister(workload.name)
 
 
 class TestCompiledRecording:
