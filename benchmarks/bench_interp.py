@@ -4,12 +4,13 @@
 
 For each (workload, tool, category) cell the same campaign runs twice
 with fresh injectors: **interpreted** (``no_compile=True``, the scalar
-per-instruction loop) and **compiled** (the default: every straight-line
-segment generated as the source of one Python function with operands,
+per-instruction loop) and **compiled** (the default: every function
+generated as the source of one Python function, a region, with operands,
 widths and branch targets baked in, compare+branch pairs decided from
-the compare's operands, see ``repro.vm.blockcache``).  The benchmark
-verifies the contracts the optimisation rests on and exits non-zero on
-any violation:
+the compare's operands, and segments chained across the function's
+edges once a trial's fault is spent, see ``repro.vm.blockcache``).
+The benchmark verifies the contracts the optimisation rests on and
+exits non-zero on any violation:
 
 * **bit identity** — the compiled campaign's full serialized result
   (``CampaignResult.to_json(include_records=True)``) must equal the
@@ -19,15 +20,16 @@ any violation:
   ``instructions_simulated`` total (the three-term identity holds under
   compilation);
 * **compilation happened** — the compiled cell's manifest must report
-  compiled blocks actually dispatched (the comparison would be vacuous
+  compiled segments actually run (the comparison would be vacuous
   otherwise);
 * **it stays compiled** — at most ``MAX_FALLBACK_RATE`` (2%) of the
-  compiled cell's dispatched segments may fall back to the scalar loop,
-  so a generator gap that silently sends a common opcode to the scalar
-  loop fails instead of only slowing the cell down.  Pending
-  injections, hooks that cannot declare a span safe and segments that
-  could cross the hang budget fall back by design; they stay well
-  under 1% on the libquantumm and mcfm ``arithmetic``/``all`` cells.
+  compiled cell's segments (``compiled_blocks`` counts chained ones
+  too) may fall back to the scalar loop, so a generator gap that
+  silently sends a common opcode to the scalar loop fails instead of
+  only slowing the cell down.  Pending injections and poison, segments
+  whose candidates reach the trigger and segments that could cross the
+  hang budget fall back by design; they stay well under 1% on the
+  libquantumm and mcfm ``arithmetic``/``all`` cells.
 
 Writes ``BENCH_interp.json`` with per-cell wall times, compile
 statistics (blocks compiled, superinstructions fused, fallback rate,

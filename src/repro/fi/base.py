@@ -22,7 +22,8 @@ other step is defined once, here:
   probe, run, account) and the **batched first attempts** (``run_batch``:
   one shared sweep, copy-on-write lanes, see :mod:`repro.vm.batch`);
 * the **trigger** of an injection hook (:class:`InjectionHook`: fire at
-  the k-th dynamic candidate, ``repeat`` times, compiled-span safety);
+  the k-th dynamic candidate, ``repeat`` times, with compiled segments
+  counted whole until the trigger is near);
 * **run accounting** (``executions``, ``instructions_simulated``,
   ``ckpt_restores``, ``ckpt_instructions_skipped``, ``converged_runs``,
   ``converged_instructions``), mirrored into the active :mod:`repro.obs`
@@ -93,19 +94,19 @@ class CandidateCounter(InterpHook, AsmHook):
     """Dynamic candidate counts of every category from one run of either
     engine: the shared profiling pass and the checkpoint recording run.
 
-    The engine adds one to ``segment_counts[segment]`` per dispatched
-    compiled segment that holds a candidate (running its plain variant,
-    with no hook call per candidate) and calls :meth:`on_result` /
-    :meth:`on_executed` once per candidate on the scalar loop.
-    :meth:`counts` derives the per-category totals from the counted
-    segments' static instruction sets, so a read at any checkpoint
-    capture, or after a completed run, equals what a per-instruction
-    counter would have seen there."""
+    The engine calls :meth:`on_segment` once per dispatched compiled
+    segment (which then runs with no hook call per candidate) and
+    :meth:`on_result` / :meth:`on_executed` once per candidate on the
+    scalar loop.  :meth:`counts` derives the per-category totals from the
+    counted segments' static instruction sets, so a read at any
+    checkpoint capture, or after a completed run, equals what a
+    per-instruction counter would have seen there."""
 
     def __init__(self, candidate_ids: Dict[str, FrozenSet[int]]) -> None:
         self.candidate_ids = candidate_ids
         #: Hook filter: every candidate of any category.
         self.filter = frozenset().union(*candidate_ids.values())
+        #: Dispatches per compiled segment.
         self.segment_counts: Dict[object, int] = {}
         #: Scalar-loop counts per candidate id.
         self.instruction_counts: Dict[int, int] = {}
@@ -114,6 +115,11 @@ class CandidateCounter(InterpHook, AsmHook):
             for key in self.filter}
         #: Per counted segment: (category, candidates in it) pairs.
         self._per_segment: Dict[object, Tuple[Tuple[str, int], ...]] = {}
+
+    def on_segment(self, segment) -> bool:
+        counts = self.segment_counts
+        counts[segment] = counts.get(segment, 0) + 1
+        return True
 
     def on_result(self, inst, value, interp):
         counts = self.instruction_counts
@@ -147,10 +153,8 @@ class CandidateCounter(InterpHook, AsmHook):
 
 class _CountingHook(InterpHook, AsmHook):
     """One category's dynamic candidate count, one hook call per candidate
-    (:meth:`BaseInjector.count_dynamic_candidates`, the per-instruction
-    reference for the shared :class:`CandidateCounter`)."""
-
-    observer = True  # mutates only its own counter: any span is safe
+    on the scalar loop (:meth:`BaseInjector.count_dynamic_candidates`, the
+    per-instruction reference for the shared :class:`CandidateCounter`)."""
 
     def __init__(self, candidate_ids: FrozenSet[int]) -> None:
         self.candidate_ids = candidate_ids
@@ -174,9 +178,10 @@ class InjectionHook(InterpHook, AsmHook):
     callback (``on_result`` for LLFI, ``on_executed`` for PINFI): skip
     non-candidates, count, and return until ``count`` reaches ``k`` with
     ``fires_left``; only then call :meth:`_fire` and corrupt the tool's
-    own target.  Models with ``repeat > 1`` (intermittent) fire again at
-    the following ``repeat - 1`` instances; ``kind == "memory"`` models
-    corrupt the cell the candidate just read (:meth:`_corrupt_cell`)
+    own target.  Compiled segments take the counting path
+    (:meth:`on_segment`).  Models with ``repeat > 1`` (intermittent) fire
+    again at the following ``repeat - 1`` instances; ``kind == "memory"``
+    models corrupt the cell the candidate just read (:meth:`_corrupt_cell`)
     instead of its destination.  A firing whose corruption is a
     bit-level no-op (stuck-at on an already-matching bit) records the
     attempt but plants no poison, so the run equals the golden run and is
@@ -196,13 +201,19 @@ class InjectionHook(InterpHook, AsmHook):
         self.memory_fault = model.kind == "memory"
         self.record: Optional[FaultRecord] = None
 
-    def compiled_span_ok(self, ncand: int) -> bool:
-        # Safe while the block's candidates cannot reach the trigger
-        # index: every firing (and the poison it plants, which must be
-        # tracked scalar) can only land on a fallback block.  Mid-burst
-        # (intermittent) the window is open, so nothing is safe.
-        return (self.fires_left == self.model.repeat
-                and self.count + ncand < self.k)
+    def on_segment(self, segment) -> bool:
+        # A segment without candidates runs compiled.  One with candidates
+        # does while they cannot reach the trigger index, counted here:
+        # every firing (and the poison it plants, which must be tracked
+        # scalar) then lands on the scalar loop.  Mid-burst (intermittent)
+        # the window is open, so only candidate-free segments compile.
+        n = segment.candidates(self.candidate_ids)
+        if not n:
+            return True
+        if self.fires_left == self.model.repeat and self.count + n < self.k:
+            self.count += n
+            return True
+        return False
 
     def _fire(self) -> None:
         """Book one firing.  After the last (for transients: the only)
@@ -277,8 +288,10 @@ class BaseInjector(ABC):
         #: Block-compiled execution (repro.vm.blockcache): enabled unless
         #: the campaign's ``--no-compile`` escape hatch turns it off.
         self.compile_enabled = True
-        #: Segments dispatched as compiled functions / through the scalar
-        #: fallback loop, summed over every engine run.
+        #: Entries into the engines' dispatch loops, segments run compiled
+        #: (chained ones included) and segments run on the scalar fallback
+        #: loop, summed over every engine run.
+        self.dispatches = 0
         self.compiled_blocks = 0
         self.fallback_blocks = 0
         #: Workload registry name, when built from an ``InjectorSpec``.
@@ -420,17 +433,14 @@ class BaseInjector(ABC):
         return None
 
     def _absorb_compile(self, engine) -> None:
-        """Fold one engine's compiled/fallback block counters into the
-        injector totals (and zero them, so a reused engine is not double
-        counted)."""
-        compiled = getattr(engine, "compiled_blocks", 0)
-        fallback = getattr(engine, "fallback_blocks", 0)
-        if compiled:
-            self.compiled_blocks += compiled
-            engine.compiled_blocks = 0
-        if fallback:
-            self.fallback_blocks += fallback
-            engine.fallback_blocks = 0
+        """Fold one engine's dispatch, compiled and fallback counters into
+        the injector totals (and zero them, so a reused engine is not
+        double counted)."""
+        for name in ("dispatches", "compiled_blocks", "fallback_blocks"):
+            value = getattr(engine, name, 0)
+            if value:
+                setattr(self, name, getattr(self, name) + value)
+                setattr(engine, name, 0)
 
     def compile_stats(self) -> Dict[str, object]:
         """Compile-time + dispatch statistics for the run manifest."""
@@ -439,6 +449,7 @@ class BaseInjector(ABC):
             "blocks_compiled": 0,
             "superinstructions": 0,
             "compile_wall_s": 0.0,
+            "dispatches": self.dispatches,
             "compiled_blocks": self.compiled_blocks,
             "fallback_blocks": self.fallback_blocks,
         }

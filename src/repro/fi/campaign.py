@@ -923,6 +923,8 @@ def build_run_manifest(injector: BaseInjector, category: str,
         "blocks_compiled": compile_stats["blocks_compiled"],
         "superinstructions": compile_stats["superinstructions"],
         "compile_wall_s": round(compile_stats["compile_wall_s"], 6),
+        "dispatches": (merged.get("vm.ir.dispatches", 0)
+                       + merged.get("vm.asm.dispatches", 0)),
         "compiled_blocks": (merged.get("vm.ir.compiled_blocks", 0)
                             + merged.get("vm.asm.compiled_blocks", 0)),
         "fallback_blocks": (merged.get("vm.ir.fallback_blocks", 0)

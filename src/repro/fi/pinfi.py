@@ -100,9 +100,9 @@ class _InjectionHook(InjectionHook):
             return
         self._fire()
         if self.memory_fault:
-            # The firing instruction always runs on a scalar-fallback
-            # block (compiled_span_ok), so its memory reads were tagged
-            # by the scalar operand helpers.
+            # The firing instruction always runs on the scalar loop (the
+            # segment holding it is refused by on_segment), so its memory
+            # reads were tagged by the scalar operand helpers.
             tag = sim.last_read
             cell = tag[1:] if tag is not None and tag[0] == sim.executed \
                 else None

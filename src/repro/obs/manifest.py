@@ -49,7 +49,7 @@ One manifest is one JSONL file.  Line kinds, in file order:
     Per-program block-compilation statistics (one per compiled program):
     ``tool``, ``enabled`` (False under ``--no-compile``),
     ``blocks_compiled`` (distinct segments compiled into generated
-    functions), ``superinstructions`` (compare+branch pairs among them
+    regions), ``superinstructions`` (compare+branch pairs among them
     whose branch is decided from the compare's operands) and
     ``compile_wall_s`` (one-time compilation cost, shared by every run
     over the program).
@@ -77,7 +77,7 @@ One manifest is one JSONL file.  Line kinds, in file order:
     ``margin_at_stop``, ``rounds``), the batching totals
     (``batch_groups``, ``batch_shared_instructions``, ``batch_lanes``,
     ``batch_detached``), a ``compile`` block (the compile-record fields
-    plus runtime dispatch counts ``compiled_blocks`` /
+    plus runtime counts ``dispatches``, ``compiled_blocks`` and
     ``fallback_blocks``, merged over workers), plus the merged recorder
     ``counters``.
 

@@ -125,6 +125,7 @@ def summarize(manifest: RunManifest) -> dict:
         "blocks_compiled": comp.get("blocks_compiled", 0),
         "superinstructions": comp.get("superinstructions", 0),
         "compile_wall_s": comp.get("compile_wall_s", 0.0),
+        "dispatches": comp.get("dispatches", 0),
         "compiled_blocks": comp.get("compiled_blocks", 0),
         "fallback_blocks": comp.get("fallback_blocks", 0),
         # Service sharding (schema v6; empty on local manifests).
@@ -234,7 +235,8 @@ def render(summaries: List[dict]) -> str:
     compile_rows = []
     for s in summaries:
         if not s["compile_enabled"]:
-            compile_rows.append([s["cell"], "off", "-", "-", "-", "-", "-"])
+            compile_rows.append([s["cell"], "off", "-", "-", "-", "-", "-",
+                                 "-"])
             continue
         dispatched = s["compiled_blocks"] + s["fallback_blocks"]
         fused = s["blocks_compiled"]
@@ -243,13 +245,15 @@ def render(summaries: List[dict]) -> str:
             f"{s['superinstructions'] / fused:.0%}" if fused else "-",
             (f"{s['fallback_blocks'] / dispatched:.1%}"
              if dispatched else "-"),
+            (f"{s['compiled_blocks'] / s['dispatches']:.1f}"
+             if s["dispatches"] else "-"),
             f"{s['compile_wall_s'] * 1000:.1f}ms",
             (f"{s['compile_wall_s'] / s['wall_s']:.2%}"
              if s["wall_s"] else "-"),
         ])
     sections.append(format_table(
         ["Cell", "Blocks", "Fused", "Fused share", "Fallback rate",
-         "Compile", "Overhead"],
+         "Segs/dispatch", "Compile", "Overhead"],
         compile_rows,
         title="Compiled execution (generated segments)"))
 

@@ -8,6 +8,11 @@ the list of :class:`Divergence` it found (empty = all layers agree):
   compiled program on SimX86: same status, same output, same exit value.
   This is the fairness requirement itself: LLFI and PINFI results are
   only comparable if the two fault-free executions are equivalent.
+* **compiled vs scalar** — each engine's block-compiled cold run vs its
+  own scalar loop, as whole results (status, output, exit value,
+  instruction count, trap kind and detail), and again at a budget drawn
+  from the fuzz seed inside the run's length, which cuts it mid-way —
+  on a chained edge or a phi move of the program's CFG.
 * **pass pipeline** — the full -O1-ish pipeline vs -O0, both on the IR
   interpreter. A mismatch is localized to the first pipeline prefix
   whose behaviour differs from -O0.
@@ -30,6 +35,7 @@ one fuzz run reports every disagreeing layer at once.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -137,6 +143,7 @@ class Oracle:
         asm_cold = AsmSimulator(program, max_instructions=cap).run()
         if cfg.check_engines:
             self._check_engines(ir_cold, asm_cold)
+        self._check_compiled(module, program, ir_cold, asm_cold)
         if cfg.check_passes:
             self._check_passes(ir_cold)
         if cfg.check_checkpoints:
@@ -159,6 +166,39 @@ class Oracle:
             self._report("engine-parity",
                          _diff(ir_cold, asm_cold, "IRInterpreter",
                                "AsmSimulator"))
+
+    # -- compiled vs scalar ----------------------------------------------------
+
+    def _check_compiled(self, module, program, ir_cold: ExecutionResult,
+                        asm_cold: ExecutionResult) -> None:
+        """Each engine's compiled run equals its scalar loop's, whole
+        result for whole result, at the oracle's cap and at a budget from
+        the fuzz seed inside ``[1, instructions]``."""
+        cap = self.config.max_instructions
+        engines = (
+            ("IRInterpreter", ir_cold,
+             lambda budget, compiled: IRInterpreter(
+                 module, max_instructions=budget,
+                 compile_blocks=compiled).run()),
+            ("AsmSimulator", asm_cold,
+             lambda budget, compiled: AsmSimulator(
+                 program, max_instructions=budget,
+                 compile_blocks=compiled).run()),
+        )
+        for name, cold, run in engines:
+            rng = random.Random(f"{self.seed}:{name}")
+            budget = 1 + rng.randrange(max(cold.instructions, 1))
+            for limit, compiled in ((cap, cold),
+                                    (budget, run(budget, True))):
+                scalar = run(limit, False)
+                if compiled != scalar:
+                    self._report(
+                        "compiled",
+                        f"{name} at max_instructions={limit}: compiled "
+                        f"{_describe(compiled)} instructions="
+                        f"{compiled.instructions} != scalar "
+                        f"{_describe(scalar)} instructions="
+                        f"{scalar.instructions}")
 
     # -- pass pipeline ---------------------------------------------------------
 
@@ -321,7 +361,7 @@ class Oracle:
                                        fault_model=model), jobs=1)
                     variants = [
                         # The scalar loop: compiled-vs-scalar injection
-                        # identity (hooked variants, traps from corrupted
+                        # identity (counted segments, traps from corrupted
                         # pointers inside segments, hangs at the budget).
                         ("scalar", CampaignConfig(
                             trials=cfg.campaign_trials,

@@ -34,13 +34,15 @@ from repro.backend.machine import (
 )
 from repro.ir.values import bits_to_double, double_to_bits
 from repro.obs import get_recorder
-from repro.vm.blockcache import UNCOMPILABLE, cache_for, compile_asm_segment
+from repro.vm.blockcache import (
+    UNCOMPILABLE, asm_region, cache_for, compile_asm_regions,
+)
 from repro.vm.image import build_global_image
 from repro.vm.io import OutputBuffer
 from repro.vm.memory import BumpAllocator, STACK_TOP
 from repro.vm.result import ExecutionResult
 from repro.vm.snapshot import (
-    Converged, ConvergenceProbe, MachineSnapshot, capture_memory,
+    NEVER, Converged, ConvergenceProbe, MachineSnapshot, capture_memory,
     memory_matches, restore_memory,
 )
 from repro.vm.traps import HangTimeout, Trap, TrapKind
@@ -48,6 +50,9 @@ from repro.vm.traps import HangTimeout, Trap, TrapKind
 MASK64 = (1 << 64) - 1
 CODE_BASE = 0x0000_4000_0000_0000
 EXIT_TOKEN = CODE_BASE
+
+#: Opcodes that end a straight line of machine code.
+_TRANSFERS = frozenset(("jmp", "jcc", "call", "ret"))
 
 #: Parity of each byte value (PF=1 when the low result byte has an even
 #: number of set bits), precomputed like hardware.
@@ -58,32 +63,21 @@ class AsmHook:
     """Base class for fault-injection hooks into the simulator."""
 
     #: Set to True by hooks that will never act again this run (e.g. an
-    #: injection hook after it fired).  The block compiler uses this to
-    #: run the post-injection suffix on the compiled path.
+    #: injection hook after it fired).  From then on the engine chains
+    #: compiled segments (see repro.vm.blockcache).
     finished = False
-
-    #: True for hooks whose ``on_executed`` mutates nothing but the hook
-    #: itself (pure observers, e.g. candidate counters): every compiled
-    #: span is safe for them regardless of its candidate count.
-    observer = False
-
-    #: Segment counting: a dict instead of None makes the engine run the
-    #: *plain* compiled variant of every segment that holds a filtered
-    #: instruction and add one to ``segment_counts[segment]`` per
-    #: dispatch, in place of the per-instruction calls (which the scalar
-    #: loop still makes).  ``segment.ids`` is the segment's static
-    #: instruction set, from which the hook derives its counts.
-    segment_counts: Optional[Dict[object, int]] = None
 
     def on_executed(self, inst: MInst, sim: "AsmSimulator") -> None:
         """Called after each instruction retires; may corrupt state."""
 
-    def compiled_span_ok(self, ncand: int) -> bool:
-        """May a compiled block that will invoke this hook ``ncand``
-        times run without scalar fallback?  Override for hooks that can
-        bound when they next act (injection hooks: the block is safe
-        while its candidate count cannot reach the trigger index)."""
-        return self.observer
+    def on_segment(self, segment) -> bool:
+        """May compiled ``segment`` (a :class:`~repro.vm.blockcache.Segment`)
+        run in place of one ``on_executed`` call per candidate in it?  A
+        hook that answers True has booked the segment's candidates
+        (``segment.ids``, or :meth:`~repro.vm.blockcache.Segment.candidates`
+        for its own candidate set) and will not act on them; False runs the
+        segment on the scalar loop.  The default keeps every call."""
+        return False
 
 
 @dataclass
@@ -146,7 +140,6 @@ class AsmSimulator:
         #: sink may return a new stride (a provisional recording).
         self._checkpoint_stride = checkpoint_stride
         self._checkpoint_sink = checkpoint_sink
-        self._next_checkpoint = checkpoint_stride
         self._probe: Optional[ConvergenceProbe] = None
         #: Set when run() returned through the convergence exit; the run
         #: simulated up to ``executed`` and reports the golden result.
@@ -165,6 +158,8 @@ class AsmSimulator:
             self.intrinsics = template.intrinsics
             self._meta: Dict[int, Tuple[Tuple, Tuple]] = template._meta
         else:
+            if compile_blocks:
+                compile_asm_regions(program)
             self.memory, addr_by_id = build_global_image(program.ir_module)
             self.global_addr = {
                 g.name: addr_by_id[id(g)]
@@ -190,28 +185,27 @@ class AsmSimulator:
         self._site_tokens: Dict[Tuple[str, int, int], int] = {}
         self._token_sites: Dict[int, Tuple[str, int, int]] = {}
 
-        #: Generated-source segments (see repro.vm.blockcache).  Recording
-        #: runs compile too: the boundary tap is checked once per compiled
-        #: segment, so a checkpoint lands on the first segment boundary at
-        #: or past its stride mark (and on the exact mark when scalar).
+        #: Generated-source regions (see repro.vm.blockcache).  Recording
+        #: runs compile too, one segment per dispatch: the boundary tap is
+        #: checked once per compiled segment, so a checkpoint lands on the
+        #: first segment boundary at or past its stride mark (and on the
+        #: exact mark when scalar).
         self._recording = (checkpoint_sink is not None
                            and checkpoint_stride > 0)
-        #: Boundary tap: armed while recording or probing (see probe()).
+        #: Boundary tap: armed while recording or probing (see probe()),
+        #: at ``_next_checkpoint`` (NEVER while unarmed, which compiled
+        #: regions read as their mark).
         self._tap = self._recording
+        self._next_checkpoint = checkpoint_stride if self._recording \
+            else NEVER
         self._compiling = compile_blocks
         self._block_cache = cache_for(program) if self._compiling else None
-        #: Runtime counters: straight-line runs executed compiled vs runs
-        #: that fell back to the scalar loop while compilation was on.
+        #: Runtime counters: entries into the dispatch loop, segments run
+        #: compiled (chained ones included) and segments that fell back to
+        #: the scalar loop while compilation was on.
+        self.dispatches = 0
         self.compiled_blocks = 0
         self.fallback_blocks = 0
-        #: Memoised hook_filter-disjointness per compiled segment key.
-        self._hookfree: Dict[Tuple[int, int], bool] = {}
-        #: Memoised hooked-variant blocks per segment key (the filter is
-        #: fixed for an engine's lifetime; the shared cache keys hooked
-        #: variants by filter *value* so same-category runs share them).
-        self._hooked: Dict[Tuple[int, int], object] = {}
-        self._filter_key = (frozenset(hook_filter)
-                            if hook_filter is not None else None)
         #: Throwaway location for compiled segments that delegate to scalar
         #: handlers (the handler's _advance mutates it harmlessly).
         self._scratch_loc = _Loc(None, 0, 0)  # type: ignore[arg-type]
@@ -357,6 +351,8 @@ class AsmSimulator:
         if rec.enabled:
             rec.incr("vm.asm.runs")
             rec.incr("vm.asm.instructions", outcome.instructions)
+            if self.dispatches:
+                rec.incr("vm.asm.dispatches", self.dispatches)
             if self.compiled_blocks:
                 rec.incr("vm.asm.compiled_blocks", self.compiled_blocks)
             if self.fallback_blocks:
@@ -381,13 +377,14 @@ class AsmSimulator:
             self.call_depth = 1
         hook = self.hook
         hook_filter = self.hook_filter
-        segment_counts = hook.segment_counts if hook is not None else None
         ops = self._ops
+        recording = self._recording
         tap = self._tap
         cache = self._block_cache
-        segments = cache.asm if self._compiling else None
+        global_addr = self.global_addr
         max_instructions = self.max_instructions
         while True:
+            self.dispatches += 1
             insts = loc.func.blocks[loc.block]
             while loc.index >= len(insts):
                 # Fall through to the next block in layout order.
@@ -397,59 +394,59 @@ class AsmSimulator:
                     raise Trap(TrapKind.BAD_JUMP,
                                f"fell off function {loc.func.name}")
                 insts = loc.func.blocks[loc.block]
-            if segments is not None:
-                # Compiled fast path (repro.vm.blockcache): one call runs
-                # the rest of this straight line when no observer could
-                # tell the difference and the segment cannot cross the
-                # budget.  A segment-counting hook gets the plain variant
-                # plus one count per dispatch; any other armed hook may
-                # still run compiled through the hooked variant (inline
-                # hook calls) when it declares the span safe — otherwise
-                # the scalar loop runs until the next transfer.
-                cb = None
-                if not self.poison or self.fault_activated:
-                    key = (id(insts), loc.index)
-                    cb = segments.get(key)
-                    if cb is None:
-                        cb = (compile_asm_segment(cache, insts, loc.index,
-                                                  self, loc.func)
-                              or UNCOMPILABLE)
-                        segments[key] = cb
-                    if (cb is UNCOMPILABLE
-                            or self.executed + cb.count > max_instructions):
-                        cb = None
+            quiet = False
+            if cache is not None:
+                # Compiled fast path (repro.vm.blockcache): the function's
+                # region runs the segment at this position when no
+                # observer could tell the difference and it cannot cross
+                # the budget, and chains on across the function's edges
+                # unless a hook may still act or the run records (lim =
+                # -1: one segment).  A hook that is not finished takes the
+                # counting path, or leaves the segment to the scalar loop.
+                mfunc = loc.func.mfunc
+                region = cache.regions.get(id(mfunc))
+                if region is None:
+                    region = asm_region(cache, mfunc, global_addr)
+                segment = UNCOMPILABLE
+                if region is not UNCOMPILABLE:
+                    key = (loc.block, loc.index)
+                    segment = region.entries.get(key)
+                    if segment is None:
+                        segment = region.segment_at(key)
+                if (segment is not UNCOMPILABLE
+                        and (not self.poison or self.fault_activated)
+                        and self.executed + segment.count
+                        <= max_instructions):
+                    if tap and self.executed >= self._next_checkpoint:
+                        self._take_checkpoint(loc)
+                    if hook is None or hook.finished:
+                        lim = -1 if recording else max_instructions
+                    elif hook.on_segment(segment):
+                        lim = -1
                     else:
-                        if tap and self.executed >= self._next_checkpoint:
-                            self._take_checkpoint(loc)
-                        if hook is None or hook.finished:
-                            pass  # plain variant is exact
-                        elif hook_filter is not None:
-                            ok = self._hookfree.get(key)
-                            if ok is None:
-                                ok = hook_filter.isdisjoint(cb.ids)
-                                self._hookfree[key] = ok
-                            if ok:
-                                pass
-                            elif segment_counts is not None:
-                                segment_counts[cb] = \
-                                    segment_counts.get(cb, 0) + 1
-                            else:
-                                cb = self._hooked_variant(key, insts, loc)
-                        else:
-                            cb = None
-                if cb is not None:
-                    self.compiled_blocks += 1
-                    next_loc = cb.run(self, loc)
-                    if next_loc is None:  # program exit
-                        return wrap_signed32(self.get_gpr("rax"))
-                    loc = next_loc
-                    continue
+                        segment = None
+                    if segment is not None:
+                        if segment.pc is not None:
+                            self.compiled_blocks += 1
+                            next_loc = region.run(self, loc, segment.pc, lim)
+                            if type(next_loc) is tuple:  # same function
+                                loc.block, loc.index = next_loc
+                            elif next_loc is None:  # program exit
+                                return wrap_signed32(self.get_gpr("rax"))
+                            else:  # a call or return
+                                loc = next_loc
+                            continue
+                        quiet = True
                 self.fallback_blocks += 1
             # Scalar loop: execute until control leaves this straight
             # line, then hand back to the outer loop (which may compile
-            # the next one).
+            # the next one).  A quiet stretch is a position inside a
+            # compiled block that no segment starts at (a restored one):
+            # it runs as the one segment it is, with the tap checked and
+            # the hook booked at its start only, up to its transfer.
+            scalar_tap, scalar_hook = (False, None) if quiet else (tap, hook)
             while True:
-                if tap and self.executed >= self._next_checkpoint:
+                if scalar_tap and self.executed >= self._next_checkpoint:
                     self._take_checkpoint(loc)
                 inst = insts[loc.index]
                 self.executed += 1
@@ -461,9 +458,9 @@ class AsmSimulator:
                 if handler is None:
                     raise ReproError(f"cannot simulate {inst.opcode}")
                 next_loc = handler(self, inst, loc)
-                if hook is not None and (hook_filter is None
-                                         or id(inst) in hook_filter):
-                    hook.on_executed(inst, self)
+                if scalar_hook is not None and (hook_filter is None
+                                                or id(inst) in hook_filter):
+                    scalar_hook.on_executed(inst, self)
                 if next_loc is None:  # program exit
                     return wrap_signed32(self.get_gpr("rax"))
                 if next_loc is not loc or next_loc.index == 0:
@@ -474,25 +471,8 @@ class AsmSimulator:
                 loc = next_loc
                 if loc.index >= len(insts):
                     break  # fell off the block: outer loop normalizes
-
-    def _hooked_variant(self, key, insts, loc: _Loc):
-        """The hooked variant of the segment at ``key`` when the armed hook
-        declares its span safe, else None (run it scalar)."""
-        hcb = self._hooked.get(key)
-        if hcb is None:
-            cache = self._block_cache
-            gkey = (key[0], key[1], self._filter_key)
-            hcb = cache.asm.get(gkey)
-            if hcb is None:
-                hcb = compile_asm_segment(cache, insts, loc.index, self,
-                                          loc.func, self.hook_filter)
-                if hcb is None:
-                    hcb = UNCOMPILABLE
-                cache.asm[gkey] = hcb
-            self._hooked[key] = hcb
-        if hcb is not UNCOMPILABLE and self.hook.compiled_span_ok(hcb.ncand):
-            return hcb
-        return None
+                if quiet and inst.opcode in _TRANSFERS:
+                    break  # the segment ends at its transfer
 
     # -- poison / activation -----------------------------------------------------
     def _check_poison(self, inst: MInst) -> None:

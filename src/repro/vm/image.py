@@ -19,8 +19,8 @@ from repro.ir.values import (
 from repro.vm.memory import GLOBALS_BASE, Memory, standard_memory
 
 
-def build_global_image(module: Module) -> Tuple[Memory, Dict[int, int]]:
-    """Lay out and initialize all globals. Returns (memory, {id(global): addr})."""
+def _layout(module: Module):
+    """(bytes the globals take, [(global, offset)]) in declaration order."""
     offset = 0
     layout = []
     for g in module.globals.values():
@@ -28,7 +28,20 @@ def build_global_image(module: Module) -> Tuple[Memory, Dict[int, int]]:
         offset = (offset + align - 1) // align * align
         layout.append((g, offset))
         offset += g.value_type.size
-    memory = standard_memory(globals_size=offset + 4096)
+    return offset, layout
+
+
+def global_addresses(module: Module) -> Dict[int, int]:
+    """{id(global): addr}, as :func:`build_global_image` places them,
+    without building the image."""
+    _, layout = _layout(module)
+    return {id(g): GLOBALS_BASE + off for g, off in layout}
+
+
+def build_global_image(module: Module) -> Tuple[Memory, Dict[int, int]]:
+    """Lay out and initialize all globals. Returns (memory, {id(global): addr})."""
+    size, layout = _layout(module)
+    memory = standard_memory(globals_size=size + 4096)
     addrs: Dict[int, int] = {}
     for g, off in layout:
         addr = GLOBALS_BASE + off

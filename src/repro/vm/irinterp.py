@@ -57,11 +57,11 @@ from repro.vm.io import OutputBuffer
 from repro.vm.memory import BumpAllocator, STACK_TOP
 from repro.vm.result import ExecutionResult
 from repro.vm.snapshot import (
-    Converged, ConvergenceProbe, FrameState, MachineSnapshot,
+    NEVER, Converged, ConvergenceProbe, FrameState, MachineSnapshot,
     capture_memory, memory_matches, restore_memory,
 )
 from repro.vm.blockcache import (
-    RET, UNCOMPILABLE, cache_for, compile_ir_segment,
+    EDGE, RET, UNCOMPILABLE, cache_for, compile_ir_regions, ir_region,
 )
 from repro.vm.traps import HangTimeout, Trap, TrapKind
 
@@ -90,36 +90,23 @@ class InterpHook:
     """Base class for fault-injection hooks into the interpreter."""
 
     #: Set to True by hooks that will never act again this run (e.g. an
-    #: injection hook after it fired).  The block compiler uses this to
-    #: run the post-injection suffix on the compiled path.
+    #: injection hook after it fired).  From then on the engine chains
+    #: compiled segments (see repro.vm.blockcache).
     finished = False
-
-    #: True for hooks whose ``on_result`` mutates nothing but the hook
-    #: itself (pure observers, e.g. candidate counters): every compiled
-    #: span is safe for them regardless of its candidate count.
-    observer = False
-
-    #: Segment counting: a dict instead of None makes the engine run the
-    #: *plain* compiled variant of every segment that holds a filtered
-    #: instruction and add one to ``segment_counts[segment]`` per
-    #: dispatch, in place of the per-instruction calls (which the scalar
-    #: loop and phi batches still make).  ``segment.ids`` is the
-    #: segment's static instruction set, from which the hook derives its
-    #: counts.  Only hooks that observe, never replace, a result may set
-    #: it.
-    segment_counts: Optional[Dict[object, int]] = None
 
     def on_result(self, inst: Instruction, value, interp: "IRInterpreter"):
         """Called after each value-producing instruction; the return value
         replaces the instruction's result."""
         return value
 
-    def compiled_span_ok(self, ncand: int) -> bool:
-        """May a compiled block that will invoke this hook ``ncand``
-        times run without scalar fallback?  Override for hooks that can
-        bound when they next act (injection hooks: the block is safe
-        while its candidate count cannot reach the trigger index)."""
-        return self.observer
+    def on_segment(self, segment) -> bool:
+        """May compiled ``segment`` (a :class:`~repro.vm.blockcache.Segment`)
+        run in place of one ``on_result`` call per candidate in it?  A
+        hook that answers True has booked the segment's candidates
+        (``segment.ids``, or :meth:`~repro.vm.blockcache.Segment.candidates`
+        for its own candidate set) and will not act on them; False runs the
+        segment on the scalar loop.  The default keeps every call."""
+        return False
 
 
 @dataclass
@@ -178,10 +165,13 @@ class IRInterpreter:
         #: sink may return a new stride (a provisional recording).
         self._checkpoint_stride = checkpoint_stride
         self._checkpoint_sink = checkpoint_sink
-        self._next_checkpoint = checkpoint_stride
         self._recording = checkpoint_sink is not None and checkpoint_stride > 0
-        #: Boundary tap: armed while recording or probing (see probe()).
+        #: Boundary tap: armed while recording or probing (see probe()),
+        #: at ``_next_checkpoint`` (NEVER while unarmed, which compiled
+        #: regions read as their mark).
         self._tap = self._recording
+        self._next_checkpoint = checkpoint_stride if self._recording \
+            else NEVER
         self._probe: Optional[ConvergenceProbe] = None
         #: Set when run() returned through the convergence exit; the run
         #: simulated up to ``executed`` and reports the golden result.
@@ -201,28 +191,24 @@ class IRInterpreter:
             self.heap = BumpAllocator()
             self._stack_sp = STACK_TOP
         else:
+            if compile_blocks:
+                compile_ir_regions(module)
             self.memory, self.heap, self._stack_sp = self._load_globals()
-        #: Generated-source segments (see repro.vm.blockcache).  Recording
-        #: runs compile too: the boundary tap is checked once per compiled
-        #: segment, so a checkpoint lands on the first segment boundary at
-        #: or past its stride mark; segments holding a call run scalar
-        #: while recording, so every suspended frame's resume position is
-        #: exact at capture.  The program's cache also holds the phi edge
-        #: table, which scalar runs use too.
+        #: Generated-source regions (see repro.vm.blockcache).  Recording
+        #: runs compile too, one segment per dispatch: the boundary tap is
+        #: checked once per compiled segment, so a checkpoint lands on the
+        #: first segment boundary at or past its stride mark; segments
+        #: holding a call run scalar while recording, so every suspended
+        #: frame's resume position is exact at capture.  The program's
+        #: cache also holds the phi edge table, which scalar runs use too.
         self._compiling = compile_blocks
         self._block_cache = cache_for(module)
-        #: Runtime counters: blocks executed compiled vs blocks that fell
-        #: back to the scalar loop while compilation was on.
+        #: Runtime counters: entries into the dispatch loop, segments run
+        #: compiled (chained ones included) and segments that fell back to
+        #: the scalar loop while compilation was on.
+        self.dispatches = 0
         self.compiled_blocks = 0
         self.fallback_blocks = 0
-        #: Memoised hook_filter-disjointness per compiled segment key.
-        self._hookfree: Dict[tuple, bool] = {}
-        #: Memoised hooked-variant blocks per segment key (the filter is
-        #: fixed for an engine's lifetime; the shared cache keys hooked
-        #: variants by filter *value* so same-category runs share them).
-        self._hooked: Dict[tuple, object] = {}
-        self._filter_key = (frozenset(hook_filter)
-                            if hook_filter is not None else None)
 
     # -- program image -----------------------------------------------------
     def _load_globals(self):
@@ -362,6 +348,8 @@ class IRInterpreter:
         if rec.enabled:
             rec.incr("vm.ir.runs")
             rec.incr("vm.ir.instructions", outcome.instructions)
+            if self.dispatches:
+                rec.incr("vm.ir.dispatches", self.dispatches)
             if self.compiled_blocks:
                 rec.incr("vm.ir.compiled_blocks", self.compiled_blocks)
             if self.fallback_blocks:
@@ -473,15 +461,19 @@ class IRInterpreter:
         prev_block: Optional[BasicBlock] = None
         hook = self.hook
         hook_filter = self.hook_filter
-        segment_counts = hook.segment_counts if hook is not None else None
         values = frame.values
         recording = self._recording
         tap = self._tap
         cache = self._block_cache
-        segments = cache.ir if self._compiling else None
+        region = (ir_region(cache, frame.function, self._global_addr)
+                  if self._compiling else UNCOMPILABLE)
+        if region is not UNCOMPILABLE:
+            entries = region.entries
+            run = region.run
         phi_edges = cache.phis
         max_instructions = self.max_instructions
         while True:
+            self.dispatches += 1
             insts = block.instructions
             if skip:
                 index = skip
@@ -504,64 +496,59 @@ class IRInterpreter:
                         values[id(phi)] = value
                     if self.executed > max_instructions:
                         raise HangTimeout(self.executed)
-            if segments is not None:
-                # Compiled fast path (repro.vm.blockcache): one call runs
-                # the rest of the block when no observer could tell the
-                # difference and the segment cannot cross the budget.  A
-                # segment-counting hook gets the plain variant plus one
-                # count per dispatch; any other armed hook may still run
-                # compiled through the hooked variant (inline hook calls)
-                # when it declares the span safe — otherwise the scalar
-                # loop below runs this block.
-                cb = None
-                if frame.poison_inst is None or self.fault_activated:
-                    key = (id(insts), index)
-                    cb = segments.get(key)
-                    if cb is None:
-                        cb = (compile_ir_segment(cache, insts, index,
-                                                 self._global_addr)
-                              or UNCOMPILABLE)
-                        segments[key] = cb
-                    if (cb is UNCOMPILABLE or (recording and cb.calls)
-                            or self.executed + cb.count > max_instructions):
-                        cb = None
+            quiet = False
+            if region is not UNCOMPILABLE:
+                # Compiled fast path (repro.vm.blockcache): the region runs
+                # the segment at this position when no observer could tell
+                # the difference and it cannot cross the budget, and chains
+                # on across the function's edges unless a hook may still
+                # act or the run records (lim = -1: one segment).  A hook
+                # that is not finished takes the counting path, or leaves
+                # the segment to the scalar loop below.
+                segment = entries.get((block, index))
+                if segment is None:
+                    segment = region.segment_at((block, index))
+                if (segment is not UNCOMPILABLE
+                        and (frame.poison_inst is None or self.fault_activated)
+                        and not (recording and segment.calls)
+                        and self.executed + segment.count
+                        <= max_instructions):
+                    if tap and self.executed >= self._next_checkpoint:
+                        frame.resume_block = block
+                        frame.resume_index = index
+                        self._take_checkpoint()
+                    if hook is None or hook.finished:
+                        lim = -1 if recording else max_instructions
+                    elif hook.on_segment(segment):
+                        lim = -1
                     else:
-                        if tap and self.executed >= self._next_checkpoint:
-                            frame.resume_block = block
-                            frame.resume_index = index
-                            self._take_checkpoint()
-                        if hook is None or hook.finished:
-                            pass  # plain variant is exact
-                        elif hook_filter is not None:
-                            ok = self._hookfree.get(key)
-                            if ok is None:
-                                ok = hook_filter.isdisjoint(cb.ids)
-                                self._hookfree[key] = ok
-                            if ok:
-                                pass
-                            elif segment_counts is not None:
-                                segment_counts[cb] = \
-                                    segment_counts.get(cb, 0) + 1
-                            else:
-                                cb = self._hooked_variant(key, insts, index)
-                        else:
-                            cb = None
-                if cb is None:
-                    self.fallback_blocks += 1
-                else:
-                    self.compiled_blocks += 1
-                    t = cb.run(self, frame, values)
-                    if type(t) is not tuple:
-                        prev_block = block
-                        block = t
-                        continue
-                    if t[0] is RET:
-                        return t[1]
-                    # After a call, the rest of the block could cross the
-                    # budget: it finishes on the scalar loop.
-                    index = t[1]
+                        segment = None
+                    if segment is not None:
+                        if segment.pc is not None:
+                            self.compiled_blocks += 1
+                            t = run(self, frame, values, segment.pc, lim)
+                            kind = t[0]
+                            if kind is EDGE:
+                                prev_block = t[1]
+                                block = t[2]
+                                continue
+                            if kind is RET:
+                                return t[1]
+                            # The rest of a block after a call could cross
+                            # the budget: the scalar loop runs it.
+                            block = t[1]
+                            skip = t[2]
+                            continue
+                        quiet = True
+                self.fallback_blocks += 1
+            # A quiet stretch is a position inside a compiled block that no
+            # segment starts at (a resumed frame's): it runs here as the
+            # one segment it is, with the tap checked and the hook booked
+            # at its start only, until a call leaves the rest of the block
+            # at risk of crossing the budget.
+            scalar_tap, scalar_hook = (False, None) if quiet else (tap, hook)
             while index < len(insts):
-                if tap:
+                if scalar_tap:
                     # Checkpoints land only at non-phi boundaries, so a
                     # resumed frame never needs the (prev -> block) edge.
                     frame.resume_block = block
@@ -591,11 +578,20 @@ class IRInterpreter:
                 handler = self._dispatch.get(cls)
                 if handler is None:
                     raise ReproError(f"cannot interpret {inst.opcode}")
-                result = handler(self, inst, frame)
+                if quiet and cls is Call:
+                    frame.resume_block = block
+                    frame.resume_index = index
+                    result = handler(self, inst, frame)
+                    if (self.executed + len(insts) - 1 - index
+                            > max_instructions):
+                        quiet = False
+                        scalar_tap, scalar_hook = tap, hook
+                else:
+                    result = handler(self, inst, frame)
                 if inst.has_result():
-                    if hook is not None and (hook_filter is None
-                                             or id(inst) in hook_filter):
-                        result = hook.on_result(inst, result, self)
+                    if scalar_hook is not None and (
+                            hook_filter is None or id(inst) in hook_filter):
+                        result = scalar_hook.on_result(inst, result, self)
                     values[id(inst)] = result
                 index += 1
             else:
@@ -613,25 +609,6 @@ class IRInterpreter:
         edge = tuple(edge)
         self._block_cache.phis[(id(insts), id(prev_block))] = edge
         return edge
-
-    def _hooked_variant(self, key, insts, index: int):
-        """The hooked variant of the segment at ``key`` when the armed hook
-        declares its span safe, else None (run it scalar)."""
-        hcb = self._hooked.get(key)
-        if hcb is None:
-            cache = self._block_cache
-            gkey = (key[0], key[1], self._filter_key)
-            hcb = cache.ir.get(gkey)
-            if hcb is None:
-                hcb = compile_ir_segment(cache, insts, index,
-                                         self._global_addr, self.hook_filter)
-                if hcb is None:
-                    hcb = UNCOMPILABLE
-                cache.ir[gkey] = hcb
-            self._hooked[key] = hcb
-        if hcb is not UNCOMPILABLE and self.hook.compiled_span_ok(hcb.ncand):
-            return hcb
-        return None
 
     # -- operand evaluation -------------------------------------------------------
     def _value_of(self, operand: Value, frame: Frame):

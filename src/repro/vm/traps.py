@@ -26,13 +26,28 @@ class TrapKind(enum.Enum):
 
 
 class Trap(Exception):
-    """Raised by the VM when the simulated program faults."""
+    """Raised by the VM when the simulated program faults.
+
+    A trap is a value: two traps with the same kind and detail are equal
+    (so are the results that hold them), and a pickled trap is rebuilt
+    from its kind and detail."""
 
     def __init__(self, kind: TrapKind, detail: str = "") -> None:
         self.kind = kind
         self.detail = detail
         message = kind.value if not detail else f"{kind.value}: {detail}"
         super().__init__(message)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trap):
+            return NotImplemented
+        return (self.kind, self.detail) == (other.kind, other.detail)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.detail))
+
+    def __reduce__(self):
+        return type(self), (self.kind, self.detail)
 
 
 class HangTimeout(Exception):

@@ -16,6 +16,7 @@ the scalar recording's capture at the same boundary, counts included.
 import gc
 import glob
 import os
+import pickle
 import random
 import weakref
 
@@ -29,10 +30,14 @@ from repro.fi import (
 from repro.fi.base import BatchRequest
 from repro.fi.categories import CATEGORIES
 from repro.fi.engine import forget_workload, injector_for_spec
+from repro.ir.instructions import Phi
+from repro.ir.values import ConstantInt
 from repro.minic import compile_source
 from repro.obs.manifest import read_manifest
 from repro.vm.asmsim import AsmSimulator
-from repro.vm.blockcache import UNCOMPILABLE, cache_for, peek_cache
+from repro.vm.blockcache import (
+    UNCOMPILABLE, cache_for, invalidate_cache, peek_cache,
+)
 from repro.vm.irinterp import IRInterpreter
 from repro.workloads import Workload, build, registry, workload_names
 
@@ -226,7 +231,7 @@ class TestGeneratedCodeExactness:
 
     @pytest.mark.parametrize("workload", workload_names())
     def test_golden_runs_compile_every_segment(self, workload):
-        """No generator gap hides behind compile_*_segment's catch-all:
+        """No generator gap hides behind the region builder's catch-all:
         every segment a golden run dispatches compiles, on both
         engines."""
         built = build(workload)
@@ -236,13 +241,89 @@ class TestGeneratedCodeExactness:
             assert engine.compiled_blocks > 0
             assert engine.fallback_blocks == 0
             cache = cache_for(subject)
-            plain = {key: seg for key, seg in
-                     list(cache.ir.items()) + list(cache.asm.items())
-                     if len(key) == 2}
-            assert UNCOMPILABLE not in plain.values()
+            dispatched = [
+                segment for region in cache.regions.values()
+                for segment in (region.entries.values()
+                                if region is not UNCOMPILABLE
+                                else [UNCOMPILABLE])]
+            assert UNCOMPILABLE not in dispatched
+
+
+class TestTrapsAreValues:
+    """A trap compares by kind and detail, so trapped results compare
+    with plain ``==``, and survive pickling (worker results)."""
+
+    @pytest.mark.parametrize("engine", ["IR", "asm"])
+    @pytest.mark.parametrize("access", ["s = s + table[far];",
+                                        "table[far] = s;",
+                                        "s = s / (s - 84);"],
+                             ids=["load", "store", "divide"])
+    def test_compiled_trap_equals_scalar_trap(self, engine, access):
+        module = compile_source(TRAP_SRC % access)
+        program = compile_module(module)
+
+        def run(compile_blocks):
+            if engine == "IR":
+                return IRInterpreter(module,
+                                     compile_blocks=compile_blocks).run()
+            return AsmSimulator(program, compile_blocks=compile_blocks).run()
+
+        compiled = run(True)
+        assert compiled.crashed
+        assert compiled == run(False)
+
+    def test_trapped_result_survives_pickling(self):
+        module = compile_source(TRAP_SRC % "table[far] = s;")
+        result = IRInterpreter(module).run()
+        assert result.crashed
+        assert pickle.loads(pickle.dumps(result)) == result
+
+
+class TestSegmentChaining:
+    @pytest.mark.parametrize("workload", workload_names())
+    def test_golden_runs_chain_segments(self, workload):
+        """A hook-free compiled golden run stays in its regions across
+        the functions' edges: every workload runs at least five compiled
+        segments per entry into the dispatch loop, on both engines."""
+        built = build(workload)
+        for engine in (IRInterpreter(built.module),
+                       AsmSimulator(built.program)):
+            assert engine.run().completed
+            assert engine.compiled_blocks >= 5 * engine.dispatches > 0
+
+
+#: One loop: the header's phis take 0 from the entry block.
+LOOP_SRC = """
+int main() {
+    int i;
+    long s = 0;
+    for (i = 0; i < 10; i++) s = s + i;
+    print_long(s);
+    return 0;
+}
+"""
 
 
 class TestCacheLifetime:
+    def test_invalidate_drops_phi_moves(self):
+        """Phi moves live in the program's phi edge table (the dispatch
+        loop's phi batches) and in its regions (chained edges): a phi
+        operand rewritten in place, then ``invalidate_cache``, is what
+        the next compiled and scalar runs read."""
+        module = compile_source(LOOP_SRC)
+        for compile_blocks in (True, False):
+            before = IRInterpreter(module, compile_blocks=compile_blocks).run()
+            assert before.output == "45"
+        phi = next(inst for inst in module.get_function("main").instructions()
+                   if type(inst) is Phi and inst.type.bits == 32)
+        index = next(n for n, (value, _) in enumerate(phi.incoming)
+                     if isinstance(value, ConstantInt))
+        phi.set_operand(index, ConstantInt(phi.type, 4))
+        invalidate_cache(module)
+        compiled = IRInterpreter(module).run()
+        assert compiled.output == "39"  # 4 + 5 + ... + 9
+        assert compiled == IRInterpreter(module, compile_blocks=False).run()
+
     def test_in_place_preparation_invalidates_segments(self):
         """A module rewritten in place (here by the backend's preparation,
         which splits critical edges) drops the segments and phi edges its
