@@ -30,8 +30,9 @@ other step is defined once, here:
   recorder.
 
 Subclasses provide what the paper says differs: candidate selection (the
-per-category id sets, built in their constructor), :meth:`_engine` (a
-fresh IR interpreter or SimX86 simulator with a hook installed),
+per-category id sets, built in their constructor), the engine
+(``engine_type``, the IR interpreter or the SimX86 simulator, and
+:meth:`_subject`, the program it runs; :meth:`_engine` builds it),
 :meth:`_injection_hook` (their :class:`InjectionHook` subclass, whose
 engine callback corrupts the tool's target) and a one-line
 :meth:`run_with_fault`.  Campaign, engine and experiment code type
@@ -50,9 +51,8 @@ from repro.errors import FaultInjectionError
 from repro.fi.fault import FaultModel, FaultRecord, SingleBitFlip
 from repro.obs import get_recorder
 from repro.vm import batch as vm_batch
-from repro.vm.asmsim import AsmHook
+from repro.vm.base import BaseEngine, Hook
 from repro.vm.batch import BatchStats
-from repro.vm.irinterp import InterpHook
 from repro.vm.result import ExecutionResult
 from repro.vm.snapshot import (
     CheckpointStore, capture_memory, memory_from_images, record_checkpoints,
@@ -90,7 +90,7 @@ class FirstAttempt:
     wall_s: float
 
 
-class CandidateCounter(InterpHook, AsmHook):
+class CandidateCounter(Hook):
     """Dynamic candidate counts of every category from one run of either
     engine: the shared profiling pass and the checkpoint recording run.
 
@@ -151,31 +151,31 @@ class CandidateCounter(InterpHook, AsmHook):
         return totals
 
 
-class _CountingHook(InterpHook, AsmHook):
+class _CountingHook(Hook):
     """One category's dynamic candidate count, one hook call per candidate
     on the scalar loop (:meth:`BaseInjector.count_dynamic_candidates`, the
     per-instruction reference for the shared :class:`CandidateCounter`)."""
 
     def __init__(self, candidate_ids: FrozenSet[int]) -> None:
-        self.candidate_ids = candidate_ids
+        self.filter = candidate_ids
         self.count = 0
 
     def on_result(self, inst, value, interp):
-        if id(inst) in self.candidate_ids:
-            self.count += 1
+        self.count += 1
         return value
 
     def on_executed(self, inst, sim) -> None:
-        if id(inst) in self.candidate_ids:
-            self.count += 1
+        self.count += 1
 
 
-class InjectionHook(InterpHook, AsmHook):
+class InjectionHook(Hook):
     """Runtime fault injection at the k-th dynamic candidate instance: the
     trigger both tools share.
 
-    A tool's subclass keeps the per-candidate check inline in its engine
-    callback (``on_result`` for LLFI, ``on_executed`` for PINFI): skip
+    Its ``filter`` is its candidate set.  A tool's subclass still keeps
+    the per-candidate check inline in its engine callback (``on_result``
+    for LLFI, ``on_executed`` for PINFI), because a wrapping hook may
+    watch every instruction (:mod:`repro.fi.trace`): skip
     non-candidates, count, and return until ``count`` reaches ``k`` with
     ``fires_left``; only then call :meth:`_fire` and corrupt the tool's
     own target.  Compiled segments take the counting path
@@ -191,6 +191,7 @@ class InjectionHook(InterpHook, AsmHook):
     def __init__(self, candidate_ids: FrozenSet[int], k: int,
                  model: FaultModel, rng: random.Random) -> None:
         self.candidate_ids = candidate_ids
+        self.filter = candidate_ids
         self.k = k
         self.model = model
         self.rng = rng
@@ -260,6 +261,9 @@ class BaseInjector(ABC):
     name: str = "?"
     #: Per-engine default instruction budget for preparation runs.
     default_max_instructions: int = 50_000_000
+    #: The engine every run of this tool uses (IRInterpreter for LLFI,
+    #: AsmSimulator for PINFI).
+    engine_type: type
 
     def __init__(self) -> None:
         #: Whole-program executions performed through this injector
@@ -318,12 +322,20 @@ class BaseInjector(ABC):
     #: subclass constructor: the tool's selection step).
     _candidate_ids: Dict[str, FrozenSet[int]]
 
-    # -- engine plumbing (subclass responsibility) ---------------------------
+    # -- engine plumbing ---------------------------------------------------
     @abstractmethod
-    def _engine(self, hook, max_instructions: int, hook_filter=None,
-                **kwargs):
+    def _subject(self):
+        """The program the engine runs (the IR module for LLFI, the
+        machine program for PINFI); compiled regions are cached on it."""
+
+    def _engine(self, hook, max_instructions: int, **kwargs) -> BaseEngine:
         """A fresh engine over this injector's program with ``hook``
         installed; ``kwargs`` go to the engine constructor."""
+        kwargs.setdefault("compile_blocks", self.compile_enabled)
+        return self.engine_type(self._subject(),
+                                max_instructions=max_instructions,
+                                max_call_depth=self.options.max_call_depth,
+                                hook=hook, **kwargs)
 
     @abstractmethod
     def _injection_hook(self, category: str, k: int, model: FaultModel,
@@ -349,10 +361,10 @@ class BaseInjector(ABC):
         """Number of static injection candidates for a category."""
         return len(self._candidate_ids[category])
 
-    def _execute(self, hook, max_instructions: int, hook_filter=None,
+    def _execute(self, hook, max_instructions: int,
                  **kwargs) -> ExecutionResult:
         """One run of the underlying engine with ``hook`` installed."""
-        engine = self._engine(hook, max_instructions, hook_filter, **kwargs)
+        engine = self._engine(hook, max_instructions, **kwargs)
         result = engine.run()
         self._absorb_compile(engine)
         return result
@@ -372,8 +384,7 @@ class BaseInjector(ABC):
                 checkpoint_stride=store.stride,
                 checkpoint_sink=lambda snap: store.record(snap,
                                                           counter.counts()))
-        result = self._execute(counter, max_instructions, counter.filter,
-                               **kwargs)
+        result = self._execute(counter, max_instructions, **kwargs)
         return result, counter.counts()
 
     # -- injection -----------------------------------------------------------
@@ -405,8 +416,7 @@ class BaseInjector(ABC):
                   else self._pristine_spans)
         engine = self._engine(
             hook, max_instructions or self.default_max_instructions,
-            hook_filter=hook.candidate_ids, template=template,
-            memory=memory_from_images(images))
+            template=template, memory=memory_from_images(images))
         skipped = 0
         if checkpoint is not None:
             engine.restore(checkpoint.snapshot, skip_memory=True)
@@ -426,21 +436,14 @@ class BaseInjector(ABC):
         return result, hook.record, engine.fault_activated
 
     # -- compiled execution --------------------------------------------------
-    def _compile_subject(self):
-        """The program object compiled blocks are cached against (the IR
-        module for LLFI, the machine program for PINFI); None when the
-        subclass has no compiled engine."""
-        return None
-
-    def _absorb_compile(self, engine) -> None:
+    def _absorb_compile(self, engine: BaseEngine) -> None:
         """Fold one engine's dispatch, compiled and fallback counters into
         the injector totals (and zero them, so a reused engine is not
         double counted)."""
-        for name in ("dispatches", "compiled_blocks", "fallback_blocks"):
-            value = getattr(engine, name, 0)
-            if value:
-                setattr(self, name, getattr(self, name) + value)
-                setattr(engine, name, 0)
+        self.dispatches += engine.dispatches
+        self.compiled_blocks += engine.compiled_blocks
+        self.fallback_blocks += engine.fallback_blocks
+        engine.dispatches = engine.compiled_blocks = engine.fallback_blocks = 0
 
     def compile_stats(self) -> Dict[str, object]:
         """Compile-time + dispatch statistics for the run manifest."""
@@ -453,12 +456,10 @@ class BaseInjector(ABC):
             "compiled_blocks": self.compiled_blocks,
             "fallback_blocks": self.fallback_blocks,
         }
-        subject = self._compile_subject()
-        if subject is not None:
-            from repro.vm.blockcache import peek_cache
-            cache = peek_cache(subject)
-            if cache is not None:
-                stats.update(cache.stats())
+        from repro.vm.blockcache import peek_cache
+        cache = peek_cache(self._subject())
+        if cache is not None:
+            stats.update(cache.stats())
         return stats
 
     # -- run accounting ------------------------------------------------------
@@ -656,11 +657,9 @@ class BaseInjector(ABC):
         category, with one hook call per candidate (the reference the
         segment-counting :meth:`count_all_categories` is tested
         against)."""
-        ids = self._candidate_ids[category]
-        hook = _CountingHook(ids)
+        hook = _CountingHook(self._candidate_ids[category])
         result = self._execute(
-            hook, max_instructions or self.default_max_instructions,
-            hook_filter=ids)
+            hook, max_instructions or self.default_max_instructions)
         self._account_prep(result, "profiling")
         return hook.count
 

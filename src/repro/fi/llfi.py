@@ -119,6 +119,7 @@ class LLFIInjector(BaseInjector):
 
     name = "LLFI"
     default_max_instructions = 50_000_000
+    engine_type = IRInterpreter
 
     def __init__(self, module: Module,
                  options: Optional[LLFIOptions] = None) -> None:
@@ -133,15 +134,8 @@ class LLFIInjector(BaseInjector):
                 if llfi_is_candidate(inst, category, **selector))
             for category in CATEGORIES}
 
-    def _compile_subject(self):
+    def _subject(self):
         return self.module
-
-    def _engine(self, hook, max_instructions: int, hook_filter=None,
-                **kwargs) -> IRInterpreter:
-        kwargs.setdefault("compile_blocks", self.compile_enabled)
-        return IRInterpreter(self.module, max_instructions=max_instructions,
-                             max_call_depth=self.options.max_call_depth,
-                             hook=hook, hook_filter=hook_filter, **kwargs)
 
     def _injection_hook(self, category, k, model, rng) -> _InjectionHook:
         return _InjectionHook(self._candidate_ids[category], k, model, rng)

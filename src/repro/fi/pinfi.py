@@ -180,6 +180,7 @@ class PINFIInjector(BaseInjector):
 
     name = "PINFI"
     default_max_instructions = 100_000_000
+    engine_type = AsmSimulator
 
     def __init__(self, program: MProgram,
                  options: Optional[PINFIOptions] = None) -> None:
@@ -207,15 +208,8 @@ class PINFIInjector(BaseInjector):
         self._candidate_ids: Dict[str, FrozenSet[int]] = {
             c: frozenset(ids) for c, ids in candidate_ids.items()}
 
-    def _compile_subject(self):
+    def _subject(self):
         return self.program
-
-    def _engine(self, hook, max_instructions: int, hook_filter=None,
-                **kwargs) -> AsmSimulator:
-        kwargs.setdefault("compile_blocks", self.compile_enabled)
-        return AsmSimulator(self.program, max_instructions=max_instructions,
-                            max_call_depth=self.options.max_call_depth,
-                            hook=hook, hook_filter=hook_filter, **kwargs)
 
     def _injection_hook(self, category, k, model, rng) -> _InjectionHook:
         return _InjectionHook(self._candidate_ids[category], k, model, rng,

@@ -27,7 +27,8 @@ from repro.errors import FaultInjectionError
 from repro.ir.instructions import Branch, Call, Instruction, Load, Store
 from repro.fi.fault import FaultModel, SingleBitFlip
 from repro.fi.llfi import LLFIInjector, _InjectionHook
-from repro.vm.irinterp import InterpHook, IRInterpreter
+from repro.vm.base import Hook
+from repro.vm.irinterp import IRInterpreter
 from repro.vm.result import ExecutionResult
 
 _MASK64 = (1 << 64) - 1
@@ -81,9 +82,10 @@ class PropagationTrace:
                 f"instructions; reached: {', '.join(reach) or 'nothing'}")
 
 
-class _TracingHook(InterpHook):
+class _TracingHook(Hook):
     """Wraps the injection hook with forward taint propagation over SSA
-    values (per frame) and memory bytes."""
+    values (per frame) and memory bytes.  Its filter stays None: it
+    watches every instruction."""
 
     def __init__(self, inner: _InjectionHook) -> None:
         self.inner = inner
@@ -142,7 +144,7 @@ def trace_propagation(injector: LLFIInjector, category: str, k: int,
     interp = IRInterpreter(injector.module,
                            max_instructions=max_instructions,
                            max_call_depth=injector.options.max_call_depth,
-                           hook=hook)  # no hook filter: watch everything
+                           hook=hook)
 
     dispatch = dict(IRInterpreter._dispatch)
     original_store = dispatch[Store]

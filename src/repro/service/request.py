@@ -26,6 +26,7 @@ from typing import List, Optional, Sequence
 
 from repro.errors import FaultInjectionError
 from repro.fi.campaign import DEFAULT_ROUND_SIZE, CampaignConfig
+from repro.fi.categories import CATEGORIES
 from repro.fi.engine import InjectorSpec
 from repro.fi.fault import get_fault_model
 from repro.fi.llfi import LLFIOptions
@@ -74,9 +75,28 @@ class CampaignRequest:
     pinfi_options: Optional[PINFIOptions] = None
 
     def __post_init__(self) -> None:
+        """Reject a malformed cell where it enters (library call, CLI or
+        ``/submit``), before any run.  The workload is left to the
+        workers: an unknown one fails its job there."""
         if self.tool not in _TOOLS:
             raise FaultInjectionError(
                 f"unknown tool {self.tool!r}; expected one of {_TOOLS}")
+        if self.category not in CATEGORIES:
+            raise FaultInjectionError(
+                f"unknown category {self.category!r}; expected one of "
+                f"{CATEGORIES}")
+        for name in ("trials", "hang_factor", "max_attempts_factor"):
+            if not getattr(self, name) >= 1:
+                raise FaultInjectionError(
+                    f"{name} must be at least 1: {getattr(self, name)!r}")
+        # Written as "not >=" so that a NaN margin fails too.
+        if not self.ci_margin >= 0:
+            raise FaultInjectionError(
+                f"ci_margin must be non-negative: {self.ci_margin!r}")
+        if not self.round_size >= 0:
+            raise FaultInjectionError(
+                f"round_size must be non-negative: {self.round_size!r}")
+        get_fault_model(self.fault_model)  # an unknown spec raises here
 
     # -- derived identity ----------------------------------------------------
     @property

@@ -20,12 +20,18 @@ simulator can ``capture()``/``restore()`` its complete state at any
 instruction boundary (see :mod:`repro.vm.snapshot`): a restored run
 retires the exact stream a cold run would from that boundary on, which is
 what lets fault-injection trials skip their fault-free prefix.
+
+Faults are delivered through an optional :class:`~repro.vm.base.Hook`,
+whose ``on_executed`` runs after each instruction its ``filter`` admits
+retires (PINFI's injection hook lives in :mod:`repro.fi.pinfi`).  The run
+protocol (budget, boundary tap, convergence exit, outcome and counters)
+is :class:`~repro.vm.base.BaseEngine`'s; this module is the machine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.backend.machine import (
@@ -33,18 +39,13 @@ from repro.backend.machine import (
     Mem, MProgram, Reg, evaluate_condition,
 )
 from repro.ir.values import bits_to_double, double_to_bits
-from repro.obs import get_recorder
+from repro.vm.base import BaseEngine, Hook
 from repro.vm.blockcache import (
     UNCOMPILABLE, asm_region, cache_for, compile_asm_regions,
 )
 from repro.vm.image import build_global_image
-from repro.vm.io import OutputBuffer
-from repro.vm.memory import BumpAllocator, STACK_TOP
-from repro.vm.result import ExecutionResult
-from repro.vm.snapshot import (
-    NEVER, Converged, ConvergenceProbe, MachineSnapshot, capture_memory,
-    memory_matches, restore_memory,
-)
+from repro.vm.memory import STACK_TOP
+from repro.vm.snapshot import MachineSnapshot, memory_matches
 from repro.vm.traps import HangTimeout, Trap, TrapKind
 
 MASK64 = (1 << 64) - 1
@@ -57,27 +58,6 @@ _TRANSFERS = frozenset(("jmp", "jcc", "call", "ret"))
 #: Parity of each byte value (PF=1 when the low result byte has an even
 #: number of set bits), precomputed like hardware.
 _PARITY = tuple(1 if bin(i).count("1") % 2 == 0 else 0 for i in range(256))
-
-
-class AsmHook:
-    """Base class for fault-injection hooks into the simulator."""
-
-    #: Set to True by hooks that will never act again this run (e.g. an
-    #: injection hook after it fired).  From then on the engine chains
-    #: compiled segments (see repro.vm.blockcache).
-    finished = False
-
-    def on_executed(self, inst: MInst, sim: "AsmSimulator") -> None:
-        """Called after each instruction retires; may corrupt state."""
-
-    def on_segment(self, segment) -> bool:
-        """May compiled ``segment`` (a :class:`~repro.vm.blockcache.Segment`)
-        run in place of one ``on_executed`` call per candidate in it?  A
-        hook that answers True has booked the segment's candidates
-        (``segment.ids``, or :meth:`~repro.vm.blockcache.Segment.candidates`
-        for its own candidate set) and will not act on them; False runs the
-        segment on the scalar loop.  The default keeps every call."""
-        return False
 
 
 @dataclass
@@ -98,12 +78,13 @@ class _FuncRec:
         self.block_index = {id(b): i for i, b in enumerate(mfunc.blocks)}
 
 
-class AsmSimulator:
+class AsmSimulator(BaseEngine):
+    counter_prefix = "vm.asm"
+
     def __init__(self, program: MProgram,
                  max_instructions: int = 100_000_000,
                  max_call_depth: int = 400,
-                 hook: Optional[AsmHook] = None,
-                 hook_filter: Optional[frozenset] = None,
+                 hook: Optional[Hook] = None,
                  checkpoint_stride: int = 0,
                  checkpoint_sink: Optional[Callable[[MachineSnapshot], None]]
                  = None,
@@ -112,20 +93,10 @@ class AsmSimulator:
                  compile_blocks: bool = True) -> None:
         if program.ir_module is None:
             raise ReproError("program has no IR module attached")
-        if (template is None) != (memory is None):
-            raise ReproError("template and memory must be given together")
+        super().__init__(max_instructions, max_call_depth, hook,
+                         checkpoint_stride, checkpoint_sink, template,
+                         memory, compile_blocks)
         self.program = program
-        self.max_instructions = max_instructions
-        self.max_call_depth = max_call_depth
-        self.hook = hook
-        #: When set, the hook only fires for instructions whose id() is in
-        #: this set (fault injectors pass their candidate set here, keeping
-        #: per-instruction overhead off the hot path).
-        self.hook_filter = hook_filter
-        self.output = OutputBuffer()
-        self.executed = 0
-        self.call_depth = 0
-        self.fault_activated = False
         #: Poisoned targets: ('gpr', name) / ('xmm', name) / ('flag', name).
         self.poison: Dict[Tuple[str, str], bool] = {}
         #: Last scalar memory read: (instruction ordinal, addr, nbytes).
@@ -134,16 +105,6 @@ class AsmSimulator:
         #: read; compiled blocks bypass the tag, which is safe because a
         #: firing instruction always runs on a scalar-fallback block.
         self.last_read: Optional[Tuple[int, int, int]] = None
-
-        #: Checkpoint recording: every ``checkpoint_stride`` retired
-        #: instructions (0 = off), pass a MachineSnapshot to the sink; a
-        #: sink may return a new stride (a provisional recording).
-        self._checkpoint_stride = checkpoint_stride
-        self._checkpoint_sink = checkpoint_sink
-        self._probe: Optional[ConvergenceProbe] = None
-        #: Set when run() returned through the convergence exit; the run
-        #: simulated up to ``executed`` and reports the golden result.
-        self.converged = False
         #: Set by restore(): where run() continues instead of ``main``.
         self._resume_loc: Optional[_Loc] = None
 
@@ -175,7 +136,6 @@ class AsmSimulator:
                 for insts in rec.blocks:
                     for inst in insts:
                         self._meta[id(inst)] = _poison_meta(inst)
-        self.heap = BumpAllocator()
 
         self.regs: Dict[str, int] = {}
         self.xmm: Dict[str, int] = {}
@@ -190,22 +150,7 @@ class AsmSimulator:
         #: checked once per compiled segment, so a checkpoint lands on the
         #: first segment boundary at or past its stride mark (and on the
         #: exact mark when scalar).
-        self._recording = (checkpoint_sink is not None
-                           and checkpoint_stride > 0)
-        #: Boundary tap: armed while recording or probing (see probe()),
-        #: at ``_next_checkpoint`` (NEVER while unarmed, which compiled
-        #: regions read as their mark).
-        self._tap = self._recording
-        self._next_checkpoint = checkpoint_stride if self._recording \
-            else NEVER
-        self._compiling = compile_blocks
-        self._block_cache = cache_for(program) if self._compiling else None
-        #: Runtime counters: entries into the dispatch loop, segments run
-        #: compiled (chained ones included) and segments that fell back to
-        #: the scalar loop while compilation was on.
-        self.dispatches = 0
-        self.compiled_blocks = 0
-        self.fallback_blocks = 0
+        self._block_cache = cache_for(program) if compile_blocks else None
         #: Throwaway location for compiled segments that delegate to scalar
         #: handlers (the handler's _advance mutates it harmlessly).
         self._scratch_loc = _Loc(None, 0, 0)  # type: ignore[arg-type]
@@ -234,39 +179,21 @@ class AsmSimulator:
     def capture(self, loc: _Loc,
                 include_memory: bool = True) -> MachineSnapshot:
         """Freeze complete machine state at the boundary *before* the
-        instruction at ``loc`` executes (``executed`` retired so far).
-
-        ``include_memory=False`` leaves the memory images empty — for
-        batched forks, which carry memory separately as a COW fork."""
-        return MachineSnapshot(
-            executed=self.executed,
-            call_depth=self.call_depth,
-            memory=capture_memory(self.memory) if include_memory else (),
-            heap=self.heap.checkpoint(),
-            output=self.output.checkpoint(),
-            state={
-                "regs": dict(self.regs),
-                "xmm": dict(self.xmm),
-                "flags": dict(self.flags),
-                "loc": (loc.func.name, loc.block, loc.index),
-                "site_tokens": dict(self._site_tokens),
-            })
+        instruction at ``loc`` executes (``executed`` retired so far)."""
+        return self._snapshot({
+            "regs": dict(self.regs),
+            "xmm": dict(self.xmm),
+            "flags": dict(self.flags),
+            "loc": (loc.func.name, loc.block, loc.index),
+            "site_tokens": dict(self._site_tokens),
+        }, include_memory)
 
     def restore(self, snapshot: MachineSnapshot,
                 skip_memory: bool = False) -> None:
-        """Load a snapshot; the next run() continues from its boundary
-        instead of entering ``main``.  The snapshot is not consumed — any
-        number of simulators may restore from the same one.
-
-        ``skip_memory`` — leave ``self.memory`` untouched (the simulator
-        was built over memory that already holds the snapshot's bytes: an
-        injection run's span-built memory or a batched lane's COW fork)."""
+        """See :meth:`BaseEngine.restore`; the next run() continues at the
+        captured location."""
+        super().restore(snapshot, skip_memory)
         state = snapshot.state
-        if not skip_memory:
-            restore_memory(self.memory, snapshot.memory)
-        self.heap.restore(snapshot.heap)
-        self.output.restore(snapshot.output)
-        self.executed = snapshot.executed
         self.call_depth = snapshot.call_depth
         self.regs = dict(state["regs"])
         self.xmm = dict(state["xmm"])
@@ -277,41 +204,11 @@ class AsmSimulator:
         func_name, block, index = state["loc"]
         self._resume_loc = _Loc(self.funcs[func_name], block, index)
 
-    def _take_checkpoint(self, loc: _Loc) -> None:
-        probe = self._probe
-        if probe is not None:
-            mark = probe.due(self.executed)
-            if mark is not None and self._converged_on(mark, loc):
-                raise Converged
-            self._next_checkpoint = probe.next_executed()
-            return
-        stride = self._checkpoint_sink(self.capture(loc))
-        if stride:
-            self._checkpoint_stride = stride
-        self._next_checkpoint = self.executed + self._checkpoint_stride
-
     # -- convergence exit ------------------------------------------------------
-    def probe(self, marks: Sequence[MachineSnapshot], first: int,
-              final: ExecutionResult) -> None:
-        """Arm the convergence exit for the next run(): at each of the
-        golden ``marks[first:]`` it lands on, the run stops and returns
-        ``final`` (the golden result) if its state equals the mark (see
-        :class:`~repro.vm.snapshot.ConvergenceProbe`).  Not armed when
-        the golden run would not fit this run's budget — then the run
-        itself must hang."""
-        if first >= len(marks) or final.instructions > self.max_instructions:
-            return
-        self._probe = ConvergenceProbe(marks, first, final)
-        self._tap = True
-        self._next_checkpoint = marks[first].executed
-
     def _converged_on(self, mark: MachineSnapshot, loc: _Loc) -> bool:
-        """Whether the run may exit at ``mark``: the hook will never act
-        again, no poisoned target is left to activate, and the state
-        equals the mark bit for bit — cheap fields first, memory last."""
-        hook = self.hook
-        if hook is not None and not hook.finished:
-            return False
+        """Whether the run may exit at ``mark``: no poisoned target is
+        left to activate, and the state equals the mark bit for bit —
+        cheap fields first, memory last."""
         if self.poison and not self.fault_activated:
             return False
         state = mark.state
@@ -326,43 +223,6 @@ class AsmSimulator:
                 and memory_matches(self.memory, mark.memory))
 
     # -- top level -----------------------------------------------------------------
-    def run(self, entry: str = "main") -> ExecutionResult:
-        try:
-            exit_value = self._execute(entry)
-            outcome = ExecutionResult("ok", None, self.output.text(),
-                                      self.executed, exit_value)
-        except Converged:
-            self.converged = True
-            outcome = self._probe.final
-        except Trap as trap:
-            # Keep no traceback: its frames would tie this simulator (and
-            # its address space) into a cycle with the stored result.
-            outcome = ExecutionResult("trap", trap.with_traceback(None),
-                                      self.output.text(), self.executed)
-        except HangTimeout:
-            outcome = ExecutionResult("hang", None, self.output.text(),
-                                      self.executed)
-        return self._record_run(outcome)
-
-    def _record_run(self, outcome: ExecutionResult) -> ExecutionResult:
-        # Observability: one recorder call per whole-program run — never
-        # per instruction — so the disabled path costs a no-op call.
-        rec = get_recorder()
-        if rec.enabled:
-            rec.incr("vm.asm.runs")
-            rec.incr("vm.asm.instructions", outcome.instructions)
-            if self.dispatches:
-                rec.incr("vm.asm.dispatches", self.dispatches)
-            if self.compiled_blocks:
-                rec.incr("vm.asm.compiled_blocks", self.compiled_blocks)
-            if self.fallback_blocks:
-                rec.incr("vm.asm.fallback_blocks", self.fallback_blocks)
-            if outcome.hung:
-                rec.incr("vm.asm.hang_budget_trips")
-            elif outcome.crashed:
-                rec.incr("vm.asm.traps")
-        return outcome
-
     def _execute(self, entry: str) -> int:
         if self._resume_loc is not None:
             loc = self._resume_loc

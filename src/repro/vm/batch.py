@@ -52,8 +52,9 @@ import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from repro.vm.asmsim import AsmHook, AsmSimulator
-from repro.vm.irinterp import InterpHook, IRInterpreter
+from repro.vm.asmsim import AsmSimulator
+from repro.vm.base import Hook
+from repro.vm.irinterp import IRInterpreter
 from repro.vm.memory import COWMemory, CowStats
 from repro.vm.result import ExecutionResult
 from repro.vm.snapshot import Checkpoint, MachineSnapshot
@@ -65,7 +66,7 @@ DEFAULT_BATCH_LANES = 32
 class _SweepDone(Exception):
     """Raised inside the sweep once every waiting lane has forked or
     detached; unwinds the engine main loop without touching its result
-    handling (``run()`` only catches Trap/HangTimeout)."""
+    handling (``run()`` catches only Converged, Trap and HangTimeout)."""
 
 
 def _no_sink(snapshot: MachineSnapshot) -> None:
@@ -138,12 +139,12 @@ class BatchStats:
         }
 
 
-class _CountingHook(InterpHook, AsmHook):
-    """Counts retired candidates on either engine (the engine's
-    hook_filter pre-selects them), mirroring the injectors' counting
-    exactly."""
+class _CountingHook(Hook):
+    """Counts retired candidates on either engine (its filter pre-selects
+    them), mirroring the injectors' counting exactly."""
 
-    def __init__(self, count: int) -> None:
+    def __init__(self, candidate_ids: frozenset, count: int) -> None:
+        self.filter = candidate_ids
         self.count = count
 
     def on_result(self, inst, value, interp):
@@ -164,8 +165,10 @@ class _Sweep:
     never compiles: a compiled recording run only checks its tap at
     segment boundaries, and a lane may fork at any instruction."""
 
-    def __init__(self, subject, requests, base_count: int, **kwargs) -> None:
-        super().__init__(subject, hook=_CountingHook(base_count),
+    def __init__(self, subject, requests, candidate_ids: frozenset,
+                 base_count: int, **kwargs) -> None:
+        super().__init__(subject,
+                         hook=_CountingHook(candidate_ids, base_count),
                          checkpoint_stride=1, checkpoint_sink=_no_sink,
                          compile_blocks=False, **kwargs)
         # Fire the boundary check from the very first boundary (executed
@@ -238,7 +241,9 @@ def run_batch(template: Union[IRInterpreter, AsmSimulator],
     """One bucket's worth of trials: shared sweep + COW forks.
 
     ``template`` is a never-run engine of either tier; the sweep and
-    every lane are engines of its type sharing its tables.
+    every lane are engines of its type sharing its tables.  The sweep
+    counts ``candidate_ids``; each lane's hook (from ``hook_for``) brings
+    its own ``filter``.
     ``pristine`` is its cold-start image (:func:`pristine_image_of`).
     Returns ``(lane_runs, detached_requests, stats)``; detached requests
     must be run by the caller through the scalar path."""
@@ -250,15 +255,14 @@ def run_batch(template: Union[IRInterpreter, AsmSimulator],
     def engine(engine_type, memory, **kwargs):
         return engine_type(subject, max_instructions=budget,
                            max_call_depth=template.max_call_depth,
-                           hook_filter=candidate_ids, template=template,
-                           memory=memory, **kwargs)
+                           template=template, memory=memory, **kwargs)
 
     cow_stats = CowStats()
     memory = _bucket_memory(checkpoint, decoded_images, *pristine,
                             cow_stats)
     t0 = time.perf_counter()
     sweep = engine(sweep_type, memory, requests=requests,
-                   base_count=base_count)
+                   candidate_ids=candidate_ids, base_count=base_count)
     start_executed = 0
     if checkpoint is not None:
         sweep.restore(checkpoint.snapshot, skip_memory=True)

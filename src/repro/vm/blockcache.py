@@ -80,12 +80,15 @@ built, before its address space exists (``compile_ir_regions``,
 ``compile_asm_regions``), so compiling's transient memory never adds to
 a run's.  A region holds no engine, memory or frame.
 
-**Hooks.**  Injection hooks take a counting path instead of inline hook
-calls: at a dispatched segment the engine asks ``hook.on_segment(segment)``
-and runs the segment compiled when it answers True (the hook has booked
-the segment's candidates: :meth:`Segment.candidates` is memoised per
-candidate set), or on the scalar loop when it answers False.  An IR
-segment with a candidate at or after a ``Call`` counts as
+**Hooks.**  A :class:`~repro.vm.base.Hook` takes a counting path instead
+of inline hook calls: at a dispatched segment the engine asks
+``hook.on_segment(segment)`` and runs the segment compiled when it
+answers True (the hook has booked the segment's candidates:
+:meth:`Segment.candidates` is memoised per candidate set, usually the
+hook's ``filter``), or on the scalar loop when it answers False, where
+each instruction the filter admits gets its ``on_result`` /
+``on_executed`` call.  A finished hook (or none) lets regions chain.  An
+IR segment with a candidate at or after a ``Call`` counts as
 ``NCAND_UNSAFE``: the callee's candidates come between the segment's.
 """
 

@@ -12,10 +12,13 @@ confounded otherwise):
 * out-of-range ``fptosi`` produces the x86 "integer indefinite"
   (``0x8000...``) instead of poison.
 
-Faults are delivered through an optional :class:`InterpHook`: after an
-instruction with a result executes, the hook may replace the result value
-(LLFI's injection hook lives in :mod:`repro.fi.llfi`). Activation tracking
-is a single identity comparison on the operand-read path.
+Faults are delivered through an optional :class:`~repro.vm.base.Hook`:
+after an instruction with a result executes, the hook's ``on_result`` may
+replace the result value (LLFI's injection hook lives in
+:mod:`repro.fi.llfi`). Activation tracking is a single identity
+comparison on the operand-read path.  The run protocol (budget, boundary
+tap, convergence exit, outcome and counters) is
+:class:`~repro.vm.base.BaseEngine`'s; this module is the IR machine.
 
 Instruction, cast and binary-op semantics dispatch through precomputed
 tables of plain functions (``IRInterpreter._dispatch`` and module-level
@@ -52,14 +55,10 @@ from repro.ir.values import (
     Argument, ConstantDouble, ConstantInt, ConstantNull, ConstantUndef,
     GlobalVariable, Value, wrap_signed,
 )
-from repro.obs import get_recorder
-from repro.vm.io import OutputBuffer
-from repro.vm.memory import BumpAllocator, STACK_TOP
-from repro.vm.result import ExecutionResult
-from repro.vm.snapshot import (
-    NEVER, Converged, ConvergenceProbe, FrameState, MachineSnapshot,
-    capture_memory, memory_matches, restore_memory,
-)
+from repro.vm.base import BaseEngine, Hook
+from repro.vm.image import build_global_image
+from repro.vm.memory import STACK_TOP
+from repro.vm.snapshot import FrameState, MachineSnapshot, memory_matches
 from repro.vm.blockcache import (
     EDGE, RET, UNCOMPILABLE, cache_for, compile_ir_regions, ir_region,
 )
@@ -86,29 +85,6 @@ def _same_values(live: Dict[int, object], frozen: Dict[int, object]) -> bool:
     return True
 
 
-class InterpHook:
-    """Base class for fault-injection hooks into the interpreter."""
-
-    #: Set to True by hooks that will never act again this run (e.g. an
-    #: injection hook after it fired).  From then on the engine chains
-    #: compiled segments (see repro.vm.blockcache).
-    finished = False
-
-    def on_result(self, inst: Instruction, value, interp: "IRInterpreter"):
-        """Called after each value-producing instruction; the return value
-        replaces the instruction's result."""
-        return value
-
-    def on_segment(self, segment) -> bool:
-        """May compiled ``segment`` (a :class:`~repro.vm.blockcache.Segment`)
-        run in place of one ``on_result`` call per candidate in it?  A
-        hook that answers True has booked the segment's candidates
-        (``segment.ids``, or :meth:`~repro.vm.blockcache.Segment.candidates`
-        for its own candidate set) and will not act on them; False runs the
-        segment on the scalar loop.  The default keeps every call."""
-        return False
-
-
 @dataclass
 class Frame:
     function: Function
@@ -126,74 +102,46 @@ class Frame:
     resume_index: int = 0
 
 
-class IRInterpreter:
+class IRInterpreter(BaseEngine):
+    counter_prefix = "vm.ir"
+
     def __init__(self, module: Module,
                  max_instructions: int = 50_000_000,
                  max_call_depth: int = 400,
-                 hook: Optional[InterpHook] = None,
-                 hook_filter: Optional[frozenset] = None,
+                 hook: Optional[Hook] = None,
                  checkpoint_stride: int = 0,
                  checkpoint_sink: Optional[Callable[[MachineSnapshot], None]]
                  = None,
                  template: Optional["IRInterpreter"] = None,
                  memory=None,
                  compile_blocks: bool = True) -> None:
-        if (template is None) != (memory is None):
-            raise ReproError("template and memory must be given together")
+        super().__init__(max_instructions, max_call_depth, hook,
+                         checkpoint_stride, checkpoint_sink, template,
+                         memory, compile_blocks)
         self.module = module
-        self.max_instructions = max_instructions
-        self.max_call_depth = max_call_depth
-        self.hook = hook
-        #: When set, the hook only fires for instructions whose id() is in
-        #: this set (fault injectors pass their candidate set here).
-        self.hook_filter = hook_filter
         # Simulated calls consume several Python frames each; make sure the
         # simulated call-depth limit is reached before CPython's.
         needed = max_call_depth * 10 + 2000
         if sys.getrecursionlimit() < needed:
             sys.setrecursionlimit(needed)
-        self.output = OutputBuffer()
-        self.executed = 0
-        self.call_depth = 0
         #: Frame currently executing (hooks use this to poison SSA values).
         self.current_frame: Optional[Frame] = None
-        #: Set by the hook when it poisons a value; cleared never (one
-        #: injection per run). Read by the fault-injection campaign.
-        self.fault_activated = False
-        #: Checkpoint recording: every ``checkpoint_stride`` retired
-        #: instructions (0 = off), pass a MachineSnapshot to the sink; a
-        #: sink may return a new stride (a provisional recording).
-        self._checkpoint_stride = checkpoint_stride
-        self._checkpoint_sink = checkpoint_sink
-        self._recording = checkpoint_sink is not None and checkpoint_stride > 0
-        #: Boundary tap: armed while recording or probing (see probe()),
-        #: at ``_next_checkpoint`` (NEVER while unarmed, which compiled
-        #: regions read as their mark).
-        self._tap = self._recording
-        self._next_checkpoint = checkpoint_stride if self._recording \
-            else NEVER
-        self._probe: Optional[ConvergenceProbe] = None
-        #: Set when run() returned through the convergence exit; the run
-        #: simulated up to ``executed`` and reports the golden result.
-        self.converged = False
         #: Live frame stack, innermost last (for capture()).
         self._frames: List[Frame] = []
         #: Set by restore(): frame states run() rebuilds instead of calling
         #: the entry function.
         self._resume: Optional[Sequence[FrameState]] = None
-        self._global_addr: Dict[int, int] = {}
+        self._stack_sp = STACK_TOP
         if template is not None:
             # Share the immutable global-address map and take the caller's
             # memory — this is how batched lanes fork cheaply from one
             # decoded image (see repro.vm.batch).
-            self._global_addr = template._global_addr
+            self._global_addr: Dict[int, int] = template._global_addr
             self.memory = memory
-            self.heap = BumpAllocator()
-            self._stack_sp = STACK_TOP
         else:
             if compile_blocks:
                 compile_ir_regions(module)
-            self.memory, self.heap, self._stack_sp = self._load_globals()
+            self.memory, self._global_addr = build_global_image(module)
         #: Generated-source regions (see repro.vm.blockcache).  Recording
         #: runs compile too, one segment per dispatch: the boundary tap is
         #: checked once per compiled segment, so a checkpoint lands on the
@@ -201,97 +149,34 @@ class IRInterpreter:
         #: holding a call run scalar while recording, so every suspended
         #: frame's resume position is exact at capture.  The program's
         #: cache also holds the phi edge table, which scalar runs use too.
-        self._compiling = compile_blocks
         self._block_cache = cache_for(module)
-        #: Runtime counters: entries into the dispatch loop, segments run
-        #: compiled (chained ones included) and segments that fell back to
-        #: the scalar loop while compilation was on.
-        self.dispatches = 0
-        self.compiled_blocks = 0
-        self.fallback_blocks = 0
-
-    # -- program image -----------------------------------------------------
-    def _load_globals(self):
-        from repro.vm.image import build_global_image
-
-        memory, addrs = build_global_image(self.module)
-        self._global_addr = addrs
-        return memory, BumpAllocator(), STACK_TOP
 
     # -- snapshot / restore -------------------------------------------------
     def capture(self, include_memory: bool = True) -> MachineSnapshot:
         """Freeze complete interpreter state at the current instruction
         boundary (each live frame's ``resume_*`` position, maintained while
-        recording, names the instruction about to execute / pending).
-
-        ``include_memory=False`` leaves the memory images empty — for
-        batched forks, which carry memory separately as a COW fork."""
+        recording, names the instruction about to execute / pending)."""
         frames = tuple(
             FrameState(f.function, f.resume_block, f.resume_index,
                        dict(f.values), f.saved_sp)
             for f in self._frames)
-        return MachineSnapshot(
-            executed=self.executed,
-            call_depth=self.call_depth,
-            memory=capture_memory(self.memory) if include_memory else (),
-            heap=self.heap.checkpoint(),
-            output=self.output.checkpoint(),
-            state={"frames": frames, "stack_sp": self._stack_sp})
+        return self._snapshot({"frames": frames, "stack_sp": self._stack_sp},
+                              include_memory)
 
     def restore(self, snapshot: MachineSnapshot,
                 skip_memory: bool = False) -> None:
-        """Load a snapshot; the next run() rebuilds the captured call stack
-        and continues from its boundary instead of entering ``main``.  The
-        snapshot is not consumed — any number of interpreters (over the
-        same module instance) may restore from the same one.
-
-        ``skip_memory`` — leave ``self.memory`` untouched (the engine was
-        built over memory that already holds the snapshot's bytes: an
-        injection run's span-built memory or a batched lane's COW fork)."""
-        if not skip_memory:
-            restore_memory(self.memory, snapshot.memory)
-        self.heap.restore(snapshot.heap)
-        self.output.restore(snapshot.output)
-        self.executed = snapshot.executed
+        """See :meth:`BaseEngine.restore`; the next run() rebuilds the
+        captured call stack."""
+        super().restore(snapshot, skip_memory)
         self.call_depth = 0
         self._stack_sp = snapshot.state["stack_sp"]
         self._resume = snapshot.state["frames"]
 
-    def _take_checkpoint(self) -> None:
-        probe = self._probe
-        if probe is not None:
-            mark = probe.due(self.executed)
-            if mark is not None and self._converged_on(mark):
-                raise Converged
-            self._next_checkpoint = probe.next_executed()
-            return
-        stride = self._checkpoint_sink(self.capture())
-        if stride:
-            self._checkpoint_stride = stride
-        self._next_checkpoint = self.executed + self._checkpoint_stride
-
     # -- convergence exit ------------------------------------------------------
-    def probe(self, marks: Sequence[MachineSnapshot], first: int,
-              final: ExecutionResult) -> None:
-        """Arm the convergence exit for the next run(): at each of the
-        golden ``marks[first:]`` it lands on, the run stops and returns
-        ``final`` (the golden result) if its state equals the mark (see
-        :class:`~repro.vm.snapshot.ConvergenceProbe`).  Not armed when
-        the golden run would not fit this run's budget — then the run
-        itself must hang."""
-        if first >= len(marks) or final.instructions > self.max_instructions:
-            return
-        self._probe = ConvergenceProbe(marks, first, final)
-        self._tap = True
-        self._next_checkpoint = marks[first].executed
-
     def _converged_on(self, mark: MachineSnapshot) -> bool:
-        """Whether the run may exit at ``mark``: the hook will never act
-        again, activation can no longer change, and the state equals the
-        mark bit for bit — cheap fields first, memory last."""
-        hook = self.hook
-        if hook is not None and not hook.finished:
-            return False
+        """Whether the run may exit at ``mark``: activation can no longer
+        change, and the state equals the mark bit for bit — cheap fields
+        first, memory last."""
         frames = self._frames
         if not self.fault_activated and any(
                 f.poison_inst is not None for f in frames):
@@ -317,48 +202,12 @@ class IRInterpreter:
         return memory_matches(self.memory, mark.memory)
 
     # -- top level -----------------------------------------------------------
-    def run(self, entry: str = "main") -> ExecutionResult:
-        try:
-            if self._resume is not None:
-                frames = self._resume
-                self._resume = None
-                result = self._resume_depth(frames, 0)
-            else:
-                func = self.module.get_function(entry)
-                result = self._call_function(func, [])
-            outcome = ExecutionResult("ok", None, self.output.text(),
-                                      self.executed, result)
-        except Converged:
-            self.converged = True
-            outcome = self._probe.final
-        except Trap as trap:
-            # Keep no traceback: its frames would tie this interpreter (and
-            # its address space) into a cycle with the stored result.
-            outcome = ExecutionResult("trap", trap.with_traceback(None),
-                                      self.output.text(), self.executed)
-        except HangTimeout:
-            outcome = ExecutionResult("hang", None, self.output.text(),
-                                      self.executed)
-        return self._record_run(outcome)
-
-    def _record_run(self, outcome: ExecutionResult) -> ExecutionResult:
-        # Observability: one recorder call per whole-program run — never
-        # per instruction — so the disabled path costs a no-op call.
-        rec = get_recorder()
-        if rec.enabled:
-            rec.incr("vm.ir.runs")
-            rec.incr("vm.ir.instructions", outcome.instructions)
-            if self.dispatches:
-                rec.incr("vm.ir.dispatches", self.dispatches)
-            if self.compiled_blocks:
-                rec.incr("vm.ir.compiled_blocks", self.compiled_blocks)
-            if self.fallback_blocks:
-                rec.incr("vm.ir.fallback_blocks", self.fallback_blocks)
-            if outcome.hung:
-                rec.incr("vm.ir.hang_budget_trips")
-            elif outcome.crashed:
-                rec.incr("vm.ir.traps")
-        return outcome
+    def _execute(self, entry: str):
+        if self._resume is not None:
+            frames = self._resume
+            self._resume = None
+            return self._resume_depth(frames, 0)
+        return self._call_function(self.module.get_function(entry), [])
 
     def _resume_depth(self, frames: Sequence[FrameState], depth: int):
         """Rebuild the captured recursion from ``depth`` inward and continue

@@ -361,12 +361,10 @@ class TestComparator:
                              get_fault_model("intermittent-2"),
                              random.Random(0))
         hook.fires_left = 1
-        engine, result = _probe_run(recording, start, mark, hook=hook,
-                                    hook_filter=frozenset())
+        engine, result = _probe_run(recording, start, mark, hook=hook)
         assert _ran_to_end(engine, result)
         hook.finished = True  # the burst is complete: the control exits
-        control, _ = _probe_run(recording, start, mark, hook=hook,
-                                hook_filter=frozenset())
+        control, _ = _probe_run(recording, start, mark, hook=hook)
         assert control.converged
 
     @pytest.mark.parametrize("tier", ["IR", "ASM"])

@@ -103,6 +103,47 @@ class TestJsonRoundTrip:
         assert "schema" in str(err.value)
 
 
+class TestValidation:
+    """A malformed cell is rejected where it enters, before any run."""
+
+    @pytest.mark.parametrize("fields", [
+        {"category": "bogus"},
+        {"trials": 0},
+        {"trials": -2},
+        {"hang_factor": 0},
+        {"max_attempts_factor": 0},
+        {"ci_margin": -0.1},
+        {"ci_margin": float("nan")},
+        {"round_size": -1},
+        {"fault_model": "no-such-model"},
+    ], ids=lambda fields: "-".join(f"{k}={v}" for k, v in fields.items()))
+    def test_malformed_request_is_rejected(self, fields):
+        kwargs = dict(workload="w", tool="LLFI", category="all")
+        kwargs.update(fields)
+        with pytest.raises(FaultInjectionError):
+            CampaignRequest(**kwargs)
+        data = CampaignRequest(workload="w", tool="LLFI",
+                               category="all").to_json()
+        data.update(fields)
+        with pytest.raises(FaultInjectionError):
+            CampaignRequest.from_json(data)
+
+    def test_smallest_valid_values_are_accepted(self):
+        req = CampaignRequest(workload="w", tool="PINFI", category="cmp",
+                              trials=1, hang_factor=1,
+                              max_attempts_factor=1, ci_margin=0.0,
+                              round_size=0, fault_model="multibit-3")
+        assert req.key() == "v4-w-PINFI-cmp-t1-s20140623-h1-a1-mmultibit-3"
+
+    def test_campaign_cell_rejects_before_running(self, tmp_path):
+        from repro.experiments.common import campaign_cell
+        with pytest.raises(FaultInjectionError):
+            campaign_cell("libquantumm", "LLFI", "all",
+                          CampaignConfig(trials=3, max_attempts_factor=0),
+                          store=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSplitShardIndices:
     def test_partition_covers_exactly(self):
         for n in (1, 2, 7, 16):

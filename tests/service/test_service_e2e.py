@@ -57,6 +57,13 @@ def _accel_body(accel):
                        "accel": accel}).encode()
 
 
+def _request_body(**fields):
+    """A submit body whose request JSON carries ``fields`` unchecked."""
+    data = _req("LLFI").to_json()
+    data.update(fields)
+    return json.dumps({"request": data, "shards": 1}).encode()
+
+
 #: Malformed client input, by test id: (method, path, raw body).
 MALFORMED = {
     "poll-job-not-int": ("GET", "/poll?job=abc", None),
@@ -80,6 +87,11 @@ MALFORMED = {
         "POST", "/submit", _accel_body({"no_compile": 1})),
     "accel-decoded-cache": (
         "POST", "/submit", _accel_body({"decoded_cache": 4})),
+    "request-trials-zero": ("POST", "/submit", _request_body(trials=0)),
+    "request-unknown-category": (
+        "POST", "/submit", _request_body(category="bogus")),
+    "request-attempts-zero": (
+        "POST", "/submit", _request_body(max_attempts_factor=0)),
 }
 
 

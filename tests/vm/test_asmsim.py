@@ -5,7 +5,8 @@ import pytest
 from repro.backend import compile_module
 from repro.backend.machine import evaluate_condition
 from repro.minic import compile_source
-from repro.vm.asmsim import AsmHook, AsmSimulator, CODE_BASE, _cvttsd2si
+from repro.vm.asmsim import AsmSimulator, CODE_BASE, _cvttsd2si
+from repro.vm.base import Hook
 from repro.vm.traps import Trap, TrapKind
 from tests.conftest import run_both
 
@@ -119,7 +120,7 @@ class TestTraps:
         """, optimize=False)
         program = compile_module(module)
 
-        class SmashReturn(AsmHook):
+        class SmashReturn(Hook):
             def __init__(self):
                 self.done = False
 
@@ -144,7 +145,7 @@ class TestTraps:
         """)
         program = compile_module(module)
 
-        class SmashRsp(AsmHook):
+        class SmashRsp(Hook):
             def __init__(self):
                 self.done = False
 
@@ -219,9 +220,11 @@ class TestHookFilter:
         program = compile_module(module)
         seen = []
 
-        class H(AsmHook):
+        class H(Hook):
+            filter = frozenset()
+
             def on_executed(self, inst, sim):
                 seen.append(inst)
 
-        AsmSimulator(program, hook=H(), hook_filter=frozenset()).run()
+        AsmSimulator(program, hook=H()).run()
         assert seen == []

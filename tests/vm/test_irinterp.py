@@ -5,9 +5,8 @@ from hypothesis import given, strategies as st
 
 from repro.ir import types as ty
 from repro.minic import compile_source
-from repro.vm.irinterp import (
-    InterpHook, IRInterpreter, _fptosi, _int_binop,
-)
+from repro.vm.base import Hook
+from repro.vm.irinterp import IRInterpreter, _fptosi, _int_binop
 from repro.vm.traps import Trap, TrapKind
 from tests.conftest import compile_and_run_ir, output_of
 
@@ -131,7 +130,7 @@ class TestHooks:
               "int main() { print_int(a + b); return 0; }"
         module = compile_source(src, optimize=False)
 
-        class Corrupt(InterpHook):
+        class Corrupt(Hook):
             def on_result(self, inst, value, interp):
                 if inst.opcode == "add":
                     return 99
@@ -147,12 +146,14 @@ class TestHooks:
 
         calls = []
 
-        class Count(InterpHook):
+        class Count(Hook):
+            filter = frozenset()
+
             def on_result(self, inst, value, interp):
                 calls.append(inst.opcode)
                 return value
 
-        IRInterpreter(module, hook=Count(), hook_filter=frozenset()).run()
+        IRInterpreter(module, hook=Count()).run()
         assert calls == []
 
     def test_poison_activation_tracking(self):
@@ -160,7 +161,7 @@ class TestHooks:
               "int main() { int x = a + b; print_int(x * 2); return 0; }"
         module = compile_source(src, optimize=False)
 
-        class Poison(InterpHook):
+        class Poison(Hook):
             def on_result(self, inst, value, interp):
                 if inst.opcode == "add":
                     interp.current_frame.poison_inst = inst
