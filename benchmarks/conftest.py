@@ -1,8 +1,13 @@
 """Shared infrastructure for the paper-reproduction benchmarks.
 
-Each ``bench_*`` module regenerates one table or figure from the paper.
-Campaign sizes default to REPRO_BENCH_TRIALS (25) so the whole suite runs
-in minutes; pass a larger value (the paper used 1000) for tighter CIs:
+Each pytest-benchmark ``bench_*`` module regenerates one table, figure or
+study of the paper (``bench_batch.py`` is a standalone script instead).
+The accelerators' correctness contracts are tier-1 tests (TESTING.md)
+and speed is measured by ``benchmarks/e2e``.
+
+Campaign sizes default to REPRO_BENCH_TRIALS (25) so the whole suite
+runs in minutes; pass a larger value (the paper used 1000) for tighter
+CIs:
 
     REPRO_BENCH_TRIALS=200 pytest benchmarks/ --benchmark-only -s
 

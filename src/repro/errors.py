@@ -50,3 +50,8 @@ class BackendError(ReproError):
 
 class FaultInjectionError(ReproError):
     """Invalid fault-injection configuration (bad category, empty target set...)."""
+
+
+class NoCandidatesError(FaultInjectionError):
+    """The program never executes an instruction of the category, so a
+    campaign over it has nothing to inject into."""

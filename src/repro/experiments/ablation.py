@@ -16,6 +16,7 @@ activation heuristics (§IV), measured.
 
 from __future__ import annotations
 
+from repro.errors import NoCandidatesError
 from repro.experiments.common import (
     campaign_cell, config_from_args, experiment_argparser,
     store_from_args,
@@ -52,17 +53,19 @@ def generate_cast_ablation(benchmarks, config: CampaignConfig,
     rows = []
     for name in benchmarks:
         inj_kwargs = dict(llfi_options=LLFIOptions(include_pointer_casts=True))
+        # Only a program without dynamic casts reads n/a; any other
+        # error is the caller's to see.
         try:
             base = campaign_cell(name, "LLFI", "cast", config, store)
             base_crash = f"{100 * base.crash.value:.0f}%"
-        except Exception:
+        except NoCandidatesError:
             base_crash = "n/a (no casts)"
         try:
             withptr = campaign_cell(name, "LLFI", "cast", config,
                                     store, variant="ptrcasts",
                                     **inj_kwargs)
             with_crash = f"{100 * withptr.crash.value:.0f}%"
-        except Exception:
+        except NoCandidatesError:
             with_crash = "n/a"
         rows.append([name, base_crash, with_crash])
     return format_table(

@@ -96,7 +96,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.errors import FaultInjectionError
+from repro.errors import FaultInjectionError, NoCandidatesError
 from repro.fi.base import BaseInjector, BatchRequest, FirstAttempt
 from repro.fi.fault import FaultModel, FaultRecord, get_fault_model
 from repro.fi.llfi import LLFIInjector
@@ -386,7 +386,7 @@ def prepare_campaign(injector: BaseInjector, category: str,
     budget = golden.instructions * config.hang_factor + 10_000
     n = injector.dynamic_counts()[category]
     if n == 0:
-        raise FaultInjectionError(
+        raise NoCandidatesError(
             f"no dynamic {category!r} candidates for {injector.name}")
     return CampaignSetup(golden=golden, budget=budget, candidates=n,
                          model=config.resolved_model())

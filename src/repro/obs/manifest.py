@@ -3,7 +3,8 @@
 A manifest is the auditable record of one (tool, category) campaign: what
 was configured, what the preparation phase cost, what every trial did, how
 the work was spread over workers, and what the totals were.  Every
-``BENCH_*.json`` perf claim can be re-derived from the manifest alone.
+instruction count a benchmark or test claims for a campaign can be
+re-derived from the manifest alone.
 
 One manifest is one JSONL file.  Line kinds, in file order:
 
@@ -84,10 +85,10 @@ One manifest is one JSONL file.  Line kinds, in file order:
 The accounting identity that makes manifests auditable: for a fresh
 injector, ``setup.prep_instructions`` plus the sum of per-trial
 ``instructions`` plus the sum of per-batch ``shared_instructions``
-equals the injector's ``instructions_simulated`` total — the number
-``benchmarks/bench_checkpoint.py`` and ``benchmarks/bench_batch.py``
-report.  (Without batching the batch term is zero and the identity is
-the pre-v3 one.)
+equals the injector's ``instructions_simulated`` total.  (Without
+batching the batch term is zero and the identity is the pre-v3 one.)
+The real-workload tests of tier-1 and ``benchmarks/bench_batch.py``
+check it.
 
 Workers never write manifests; they return per-slot statistics to the
 engine, which merges them **deterministically** (trials sorted by slot
@@ -203,8 +204,8 @@ def manifest_filename(workload: str, tool: str, category: str,
                       ci_margin: float = 0.0,
                       model: str = "bitflip") -> str:
     """Canonical manifest name for one campaign cell.  The checkpoint
-    stride is part of the name so the same cell measured under different
-    strides (e.g. by ``bench_checkpoint``) never overwrites itself; the
+    stride is part of the name so the same cell run at different strides
+    into one directory never overwrites itself; the
     early-stopping margin and a non-default fault model likewise,
     appended only when set so default names are unchanged (and sweep
     cells that differ only in fault model never collide)."""

@@ -47,6 +47,15 @@ REQUEST_SCHEMA_VERSION = 1
 
 _TOOLS = ("LLFI", "PINFI")
 
+#: The type each identity field must have.  A ``bool`` is an ``int`` to
+#: Python but never a count, a seed or a margin here.
+_FIELD_TYPES = {
+    "workload": (str,), "variant": (str,), "fault_model": (str,),
+    "trials": (int,), "seed": (int,), "hang_factor": (int,),
+    "max_attempts_factor": (int,), "round_size": (int,),
+    "ci_margin": (int, float),
+}
+
 
 @dataclass(frozen=True)
 class CampaignRequest:
@@ -78,6 +87,13 @@ class CampaignRequest:
         """Reject a malformed cell where it enters (library call, CLI or
         ``/submit``), before any run.  The workload is left to the
         workers: an unknown one fails its job there."""
+        for name, kinds in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise FaultInjectionError(
+                    f"{name} must be "
+                    f"{' or '.join(kind.__name__ for kind in kinds)}, "
+                    f"got {value!r}")
         if self.tool not in _TOOLS:
             raise FaultInjectionError(
                 f"unknown tool {self.tool!r}; expected one of {_TOOLS}")

@@ -214,12 +214,21 @@ class _BadRequest(Exception):
     """Malformed client input, replied to with HTTP 400."""
 
 
-def _int_arg(value: object, name: str) -> int:
+def _int_arg(value: str, name: str) -> int:
+    """An integer written as text (a query parameter or a header)."""
     try:
-        return int(value)  # type: ignore[arg-type]
+        return int(value)
     except (TypeError, ValueError):
         raise _BadRequest(f"{name} must be an integer, got {value!r}") \
             from None
+
+
+def _json_int(value: object, name: str) -> int:
+    """An integer in a JSON body: a JSON integer, not a boolean, a float
+    or a string."""
+    if type(value) is not int:
+        raise _BadRequest(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def _accel_arg(accel: object) -> dict:
@@ -325,7 +334,7 @@ class _Handler(BaseHTTPRequestHandler):
                     self._error(400, "missing 'job'")
                 else:
                     ok = self.store.request_cancel(
-                        _int_arg(body["job"], "job"))
+                        _json_int(body["job"], "job"))
                     if ok:
                         self._reply(200, {"cancelled": True})
                     else:
@@ -346,7 +355,7 @@ class _Handler(BaseHTTPRequestHandler):
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise _BadRequest(f"malformed request: {type(exc).__name__}: "
                               f"{exc}") from None
-        shards = _int_arg(body.get("shards", 1), "shards")
+        shards = _json_int(body.get("shards", 1), "shards")
         if shards <= 0:
             self._error(400, f"shard count must be positive: {shards}")
             return

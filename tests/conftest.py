@@ -24,6 +24,10 @@ settings.register_profile(
 settings.register_profile("dev", max_examples=50, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 
+#: The paper's seed (DSN'14), which the experiments default to: the
+#: real-workload differentials run at it.
+PAPER_SEED = 20140623
+
 
 def compile_and_run_ir(source: str, **interp_kwargs):
     """MiniC source -> optimized IR -> interpreter result."""

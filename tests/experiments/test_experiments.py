@@ -2,9 +2,23 @@
 
 import pytest
 
-from repro.experiments import table1, table2
+from repro.errors import FaultInjectionError
+from repro.experiments import ablation, table1, table2
 from repro.experiments.report import format_bar, format_table, stacked_bar
 from repro.fi import CampaignConfig
+from repro.workloads import Workload
+from repro.workloads.registry import temporary_workload
+
+#: A program with no int<->fp conversion: LLFI's cast category is empty.
+CASTLESS_SRC = """
+int main() {
+    int i;
+    int s = 0;
+    for (i = 0; i < 6; i++) s = s + i * 3;
+    print_int(s);
+    return 0;
+}
+"""
 
 
 class TestReportFormatting:
@@ -78,6 +92,27 @@ class TestTable4Generation:
         llfi_share = llfi["arithmetic"] / llfi["all"]
         pinfi_share = pinfi["arithmetic"] / pinfi["all"]
         assert llfi_share < pinfi_share
+
+
+class TestCastAblation:
+    def test_program_without_casts_reads_na(self, tmp_path):
+        workload = Workload(name="castless", mirrors="-", suite="test",
+                            description="integers only",
+                            source=CASTLESS_SRC, input_description="none")
+        with temporary_workload(workload):
+            text = ablation.generate_cast_ablation(
+                ["castless"], CampaignConfig(trials=2, seed=1),
+                store=str(tmp_path))
+        row = next(line for line in text.splitlines() if "castless" in line)
+        assert [cell.strip() for cell in row.split("|")[1:-1]] == \
+            ["castless", "n/a (no casts)", "n/a"]
+
+    def test_malformed_config_raises(self, tmp_path):
+        # libquantumm has dynamic casts, so this is no "n/a" row.
+        with pytest.raises(FaultInjectionError):
+            ablation.generate_cast_ablation(
+                ["libquantumm"], CampaignConfig(trials=0),
+                store=str(tmp_path))
 
 
 class TestCampaignCell:

@@ -7,6 +7,8 @@ both tools, every category, and any job count.  Checkpointing is a pure
 accelerator; only the number of simulated instructions may change.
 """
 
+import os
+
 import pytest
 
 from repro.backend import compile_module
@@ -16,6 +18,9 @@ from repro.fi import (
 )
 from repro.fi.categories import CATEGORIES
 from repro.minic import compile_source
+from repro.obs.manifest import manifest_filename, read_manifest
+from repro.workloads import build
+from tests.conftest import PAPER_SEED
 
 #: Mixed integer/double workload with int<->fp casts so that *all five*
 #: categories (arithmetic, cast, cmp, load, all) have dynamic candidates
@@ -164,6 +169,64 @@ class TestEngineCheckpointParity:
             CampaignConfig(trials=6, seed=77, checkpoint_stride=-1), jobs=2)
         _assert_identical(cold, warm_seq)
         _assert_identical(cold, warm_par)
+
+
+#: Stride labels of the real-workload differential, cold first.
+STRIDES = ("cold", "N/5", "N/20", "auto")
+
+
+@pytest.fixture(scope="module")
+def libquantumm_strides(tmp_path_factory):
+    """libquantumm ``all`` at 12 trials per tool, cold and at strides
+    N/5, N/20 and auto (N = golden instructions), each on a fresh
+    injector that writes its run manifest:
+    ``{(tool, label): {"result", "injector", "manifest"}}``."""
+    workload = build("libquantumm")
+    built = (workload.module, workload.program)
+    trace_dir = str(tmp_path_factory.mktemp("checkpoint-manifests"))
+    runs = {}
+    for tool in ("LLFI", "PINFI"):
+        n = _fresh(tool, built).golden_cached().instructions
+        for label, stride in zip(STRIDES, (0, n // 5, n // 20, -1)):
+            injector = _fresh(tool, built)
+            injector.workload_name = "libquantumm"
+            result = run_campaign(injector, "all", CampaignConfig(
+                trials=12, seed=PAPER_SEED, checkpoint_stride=stride,
+                trace_dir=trace_dir))
+            name = manifest_filename("libquantumm", tool, "all", 12,
+                                     PAPER_SEED, stride)
+            runs[tool, label] = dict(
+                result=result, injector=injector,
+                manifest=read_manifest(os.path.join(trace_dir, name)))
+    return runs
+
+
+class TestRealWorkloadStrides:
+    """The differential on a real workload at the paper's seed: every
+    stride returns the cold result, and each run manifest re-derives its
+    injector's simulated-instruction total."""
+
+    @pytest.mark.parametrize("label", STRIDES[1:])
+    @pytest.mark.parametrize("tool", ["LLFI", "PINFI"])
+    def test_checkpointed_equals_cold(self, tool, label,
+                                      libquantumm_strides):
+        _assert_identical(libquantumm_strides[tool, "cold"]["result"],
+                          libquantumm_strides[tool, label]["result"])
+
+    @pytest.mark.parametrize("label", STRIDES)
+    @pytest.mark.parametrize("tool", ["LLFI", "PINFI"])
+    def test_manifest_reproduces_the_injector_total(self, tool, label,
+                                                    libquantumm_strides):
+        run = libquantumm_strides[tool, label]
+        assert run["manifest"].total_instructions() == \
+            run["injector"].instructions_simulated
+
+    @pytest.mark.parametrize("tool", ["LLFI", "PINFI"])
+    def test_a_checkpointed_stride_converges_a_run(self, tool,
+                                                   libquantumm_strides):
+        # A comparator that never matches would pass the differential.
+        assert sum(libquantumm_strides[tool, label]["injector"]
+                   .converged_runs for label in STRIDES[1:]) > 0
 
 
 class TestInstructionSavings:

@@ -12,6 +12,8 @@ Two contracts under test:
   one snapshot decode (fewer decodes than restores).
 """
 
+import os
+
 import pytest
 
 from repro.backend import compile_module
@@ -26,7 +28,11 @@ from repro.fi.campaign import (
 from repro.fi.fault import FaultRecord
 from repro.fi.outcome import Outcome
 from repro.minic import compile_source
+from repro.obs.manifest import manifest_filename, read_manifest
+from repro.obs.report import validate_stop_claims
+from repro.workloads import build
 
+from tests.conftest import PAPER_SEED
 from tests.fi.test_checkpoint import SRC, _assert_identical, _fresh
 
 
@@ -203,6 +209,98 @@ class TestEngineParity:
             CampaignConfig(trials=seq.trials, seed=5150,
                            checkpoint_stride=-1), jobs=2)
         _assert_identical(seq, prefix)
+
+
+#: Outcomes of the paper's LLFI-vs-PINFI CI-overlap verdicts.
+VERDICT_OUTCOMES = (Outcome.CRASH, Outcome.SDC, Outcome.HANG, Outcome.BENIGN)
+
+
+@pytest.fixture(scope="module")
+def libquantumm_adaptive(tmp_path_factory):
+    """libquantumm ``cmp`` and ``all`` per tool at the automatic stride,
+    each run on a fresh injector: the full 24-trial run, the adaptive
+    run (margin 0.35, rounds of 6, writing its manifest) and the run of
+    its ``n_stop`` trials.  ``{(tool, category): {"full", "adaptive",
+    "prefix", "injector", "manifest"}}``, where ``injector`` ran the
+    adaptive campaign."""
+    workload = build("libquantumm")
+    built = (workload.module, workload.program)
+    trace_dir = str(tmp_path_factory.mktemp("earlystop-manifests"))
+    base = dict(seed=PAPER_SEED, checkpoint_stride=-1)
+    cells = {}
+    for category in ("cmp", "all"):
+        for tool in ("LLFI", "PINFI"):
+            full = run_campaign(_fresh(tool, built), category,
+                                CampaignConfig(trials=24, **base))
+            injector = _fresh(tool, built)
+            injector.workload_name = "libquantumm"
+            adaptive = run_campaign(injector, category, CampaignConfig(
+                trials=24, ci_margin=0.35, round_size=6,
+                trace_dir=trace_dir, **base))
+            prefix = run_campaign(_fresh(tool, built), category,
+                                  CampaignConfig(trials=adaptive.trials,
+                                                 **base))
+            name = manifest_filename("libquantumm", tool, category, 24,
+                                     PAPER_SEED, -1, 0.35)
+            cells[tool, category] = dict(
+                full=full, adaptive=adaptive, prefix=prefix,
+                injector=injector,
+                manifest=read_manifest(os.path.join(trace_dir, name)))
+    return cells
+
+
+class TestRealWorkloadEarlyStop:
+    """Early stopping on a real workload at the paper's seed: the
+    stopped result is the ``n_stop`` run, the paper's verdicts survive
+    the stop, and the adaptive manifests and restores hold up."""
+
+    @pytest.mark.parametrize("category", ["cmp", "all"])
+    @pytest.mark.parametrize("tool", ["LLFI", "PINFI"])
+    def test_stopped_equals_n_stop_run(self, tool, category,
+                                       libquantumm_adaptive):
+        cell = libquantumm_adaptive[tool, category]
+        assert cell["adaptive"].trials < 24, "margin chosen to stop early"
+        assert cell["adaptive"].to_json(include_records=True) == \
+            cell["prefix"].to_json(include_records=True)
+
+    @pytest.mark.parametrize("outcome", VERDICT_OUTCOMES,
+                             ids=lambda o: o.value)
+    @pytest.mark.parametrize("category", ["cmp", "all"])
+    def test_overlap_verdict_survives_the_stop(self, category, outcome,
+                                               libquantumm_adaptive):
+        llfi = libquantumm_adaptive["LLFI", category]
+        pinfi = libquantumm_adaptive["PINFI", category]
+
+        def overlap(run):
+            return llfi[run].proportion(outcome).overlaps(
+                pinfi[run].proportion(outcome))
+
+        assert overlap("full") == overlap("adaptive")
+
+    @pytest.mark.parametrize("category", ["cmp", "all"])
+    @pytest.mark.parametrize("tool", ["LLFI", "PINFI"])
+    def test_stop_claim_is_valid(self, tool, category,
+                                 libquantumm_adaptive):
+        manifest = libquantumm_adaptive[tool, category]["manifest"]
+        assert validate_stop_claims(manifest) == []
+
+    @pytest.mark.parametrize("category", ["cmp", "all"])
+    @pytest.mark.parametrize("tool", ["LLFI", "PINFI"])
+    def test_manifest_reproduces_the_injector_total(self, tool, category,
+                                                    libquantumm_adaptive):
+        cell = libquantumm_adaptive[tool, category]
+        assert cell["manifest"].total_instructions() == \
+            cell["injector"].instructions_simulated
+
+    @pytest.mark.parametrize("category", ["cmp", "all"])
+    @pytest.mark.parametrize("tool", ["LLFI", "PINFI"])
+    def test_trials_restore_from_spans(self, tool, category,
+                                       libquantumm_adaptive):
+        # Scalar trials build memory from a snapshot's spans; only
+        # batched groups decode a full-size image.
+        injector = libquantumm_adaptive[tool, category]["injector"]
+        assert injector.ckpt_restores > 0
+        assert injector.ensure_checkpoints().decode_count == 0
 
 
 class TestBucketScheduler:

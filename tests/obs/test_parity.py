@@ -14,6 +14,7 @@ from repro.fi import (
 from repro.minic import compile_source
 from repro.obs import get_recorder, NULL_RECORDER
 from repro.obs.manifest import read_manifest
+from tests.conftest import PAPER_SEED
 
 SRC = """
 int acc[8];
@@ -131,6 +132,21 @@ class TestParallelParity:
             jobs=2)
         assert result_key(sequential) == result_key(parallel)
         assert result_key(sequential) == result_key(traced)
+
+    def test_cold_cell_jobs_and_tracing_bit_identical(self,
+                                                      built_workloads):
+        """The paper seed's 24-trial LLFI ``cmp`` cell on the cold path:
+        jobs=1, traced jobs=1 and jobs=2 return the same result."""
+        spec = InjectorSpec("libquantumm", "LLFI")
+        config = dict(trials=24, seed=PAPER_SEED, checkpoint_stride=0)
+        sequential = run_parallel_campaign(
+            spec, "cmp", CampaignConfig(**config), jobs=1)
+        traced = run_parallel_campaign(
+            spec, "cmp", CampaignConfig(trace=True, **config), jobs=1)
+        parallel = run_parallel_campaign(
+            spec, "cmp", CampaignConfig(**config), jobs=2)
+        assert result_key(sequential) == result_key(traced)
+        assert result_key(sequential) == result_key(parallel)
 
     def test_parallel_manifest_merged_deterministically(self, tmp_path,
                                                         built_workloads):

@@ -116,6 +116,18 @@ class TestValidation:
         {"ci_margin": float("nan")},
         {"round_size": -1},
         {"fault_model": "no-such-model"},
+        {"trials": 2.5},
+        {"trials": True},
+        {"seed": "abc"},
+        {"seed": 1.0},
+        {"hang_factor": True},
+        {"max_attempts_factor": 2.0},
+        {"round_size": True},
+        {"ci_margin": True},
+        pytest.param({"ci_margin": "0.1"}, id="ci_margin='0.1'"),
+        {"workload": 5},
+        {"variant": None},
+        {"fault_model": 3},
     ], ids=lambda fields: "-".join(f"{k}={v}" for k, v in fields.items()))
     def test_malformed_request_is_rejected(self, fields):
         kwargs = dict(workload="w", tool="LLFI", category="all")

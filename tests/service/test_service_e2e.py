@@ -69,6 +69,8 @@ MALFORMED = {
     "poll-job-not-int": ("GET", "/poll?job=abc", None),
     "fetch-job-not-int": ("GET", "/fetch?job=abc", None),
     "cancel-job-not-int": ("POST", "/cancel", b'{"job": "x"}'),
+    "cancel-job-bool": ("POST", "/cancel", b'{"job": true}'),
+    "cancel-job-float": ("POST", "/cancel", b'{"job": 1.9}'),
     "body-not-json": ("POST", "/submit", b"{not json"),
     "request-missing-fields": (
         "POST", "/submit",
@@ -78,6 +80,14 @@ MALFORMED = {
         "POST", "/submit",
         json.dumps({"request": _req("LLFI").to_json(),
                     "shards": "two"}).encode()),
+    "shards-bool": (
+        "POST", "/submit",
+        json.dumps({"request": _req("LLFI").to_json(),
+                    "shards": True}).encode()),
+    "shards-float": (
+        "POST", "/submit",
+        json.dumps({"request": _req("LLFI").to_json(),
+                    "shards": 2.7}).encode()),
     "accel-null": ("POST", "/submit", _accel_body(None)),
     "accel-not-object": ("POST", "/submit", _accel_body(5)),
     "accel-stride-not-int": (
@@ -92,6 +102,17 @@ MALFORMED = {
         "POST", "/submit", _request_body(category="bogus")),
     "request-attempts-zero": (
         "POST", "/submit", _request_body(max_attempts_factor=0)),
+    "request-trials-float": ("POST", "/submit", _request_body(trials=2.5)),
+    "request-trials-bool": ("POST", "/submit", _request_body(trials=True)),
+    "request-seed-string": ("POST", "/submit", _request_body(seed="abc")),
+    "request-hang-factor-bool": (
+        "POST", "/submit", _request_body(hang_factor=True)),
+    "request-round-size-float": (
+        "POST", "/submit", _request_body(round_size=6.0)),
+    "request-ci-margin-bool": (
+        "POST", "/submit", _request_body(ci_margin=True)),
+    "request-workload-not-string": (
+        "POST", "/submit", _request_body(workload=7)),
 }
 
 

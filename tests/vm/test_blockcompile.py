@@ -33,13 +33,14 @@ from repro.fi.engine import forget_workload, injector_for_spec
 from repro.ir.instructions import Phi
 from repro.ir.values import ConstantInt
 from repro.minic import compile_source
-from repro.obs.manifest import read_manifest
+from repro.obs.manifest import manifest_filename, read_manifest
 from repro.vm.asmsim import AsmSimulator
 from repro.vm.blockcache import (
     UNCOMPILABLE, cache_for, invalidate_cache, peek_cache,
 )
 from repro.vm.irinterp import IRInterpreter
 from repro.workloads import Workload, build, registry, workload_names
+from tests.conftest import PAPER_SEED
 
 # Same shape as tests/fi/test_batch_campaign.py's workload: calls,
 # branches, doubles and loads, so every category has candidates and the
@@ -99,6 +100,19 @@ int main() {
 
 TRIALS = 8
 SEED = 80914
+
+#: Largest share of a compiled campaign's dispatched segments that may
+#: run on the scalar loop.  Pending injections and poison, segments whose
+#: candidates reach the trigger and segments that could cross the hang
+#: budget fall back by design; a generator gap that sends a common
+#: opcode to the scalar loop would show here long before it showed in
+#: wall time.
+MAX_FALLBACK_RATE = 0.02
+
+#: The real-workload grid: (workload, category, tool).  mcfm is
+#: pointer-chasing, with the most traps inside segments.
+REAL_CELLS = [(w, c, t) for w in ("libquantumm", "mcfm")
+              for c in ("arithmetic", "all") for t in ("LLFI", "PINFI")]
 
 
 @pytest.fixture(scope="module")
@@ -515,6 +529,74 @@ class TestCampaignBitIdentity:
         scalar = run_campaign(_fresh(tool, built), "all",
                               CampaignConfig(no_compile=True, **config))
         assert _json(compiled) == _json(scalar)
+
+
+@pytest.fixture(scope="module")
+def real_cell(tmp_path_factory):
+    """``real_cell(workload, category, tool)``: the cell's 24-trial cold
+    campaign at the paper's seed, run once interpreted and once compiled
+    (writing its manifest) on fresh injectors, memoised:
+    ``{"interpreted", "compiled", "injector", "manifest"}``, where
+    ``injector`` ran the compiled campaign."""
+    trace_dir = str(tmp_path_factory.mktemp("compiled-manifests"))
+    cells = {}
+
+    def run(workload, category, tool):
+        key = (workload, category, tool)
+        if key not in cells:
+            built_workload = build(workload)
+            built = (built_workload.module, built_workload.program)
+            config = dict(trials=24, seed=PAPER_SEED, checkpoint_stride=0)
+            interpreted = run_campaign(
+                _fresh(tool, built), category,
+                CampaignConfig(no_compile=True, **config))
+            injector = _fresh(tool, built)
+            injector.workload_name = workload
+            compiled = run_campaign(
+                injector, category,
+                CampaignConfig(trace_dir=trace_dir, **config))
+            name = manifest_filename(workload, tool, category, 24,
+                                     PAPER_SEED, 0)
+            cells[key] = dict(
+                interpreted=interpreted, compiled=compiled,
+                injector=injector,
+                manifest=read_manifest(os.path.join(trace_dir, name)))
+        return cells[key]
+
+    return run
+
+
+@pytest.mark.parametrize("workload,category,tool", REAL_CELLS)
+class TestRealWorkloadCampaigns:
+    """Compiled vs interpreted on real workloads at the paper's seed:
+    identical results, manifest accounting under compilation, and a
+    compiled run that really runs compiled."""
+
+    def test_compiled_equals_interpreted(self, workload, category, tool,
+                                         real_cell):
+        cell = real_cell(workload, category, tool)
+        assert _json(cell["compiled"]) == _json(cell["interpreted"])
+
+    def test_manifest_reproduces_the_injector_total(self, workload,
+                                                    category, tool,
+                                                    real_cell):
+        cell = real_cell(workload, category, tool)
+        assert cell["manifest"].total_instructions() == \
+            cell["injector"].instructions_simulated
+
+    def test_compiled_segments_were_dispatched(self, workload, category,
+                                               tool, real_cell):
+        comp = real_cell(workload, category, tool)["manifest"] \
+            .summary["compile"]
+        assert comp["enabled"] is True
+        assert comp["compiled_blocks"] > 0
+
+    def test_fallback_share_is_bounded(self, workload, category, tool,
+                                       real_cell):
+        comp = real_cell(workload, category, tool)["manifest"] \
+            .summary["compile"]
+        dispatched = comp["compiled_blocks"] + comp["fallback_blocks"]
+        assert comp["fallback_blocks"] <= MAX_FALLBACK_RATE * dispatched
 
 
 class TestEngineJobsParity:
